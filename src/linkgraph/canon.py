@@ -1,11 +1,31 @@
 """Canonical forms and isomorphism for loopless multigraphs.
 
-Backtracking colour refinement with individualization, run per connected
-component; the certificate is the minimum over the branch leaves.  Parallel
-edges are folded into neighbour weights during refinement, so the stable
-partition refines both the degree multiset and the multiplicity profile.
-Adequate at desk scale (n up to a couple hundred, mild symmetry); not meant
-to be asymptotically competitive.
+Per connected component, a search tree in the manner of nauty (McKay and
+Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014).  Each
+node refines its colouring to the stable one, then individualises in turn
+each vertex of the smallest non-singleton class.  Parallel edges are folded
+into neighbour weights, so the stable partition refines both the degree
+multiset and the multiplicity profile.  A leaf is a discrete colouring, that
+is a labelling; the certificate is the least relabelled graph over the
+leaves, and the labelling is that of the first leaf to reach it.
+
+Automorphisms prune the tree without changing either:
+
+- back-jumping: when a leaf relabels the graph exactly as the first leaf or
+  the current best leaf does, the map between the two labellings is an
+  automorphism.  It fixes the two paths' common prefix and maps the earlier
+  child of their deepest common ancestor onto the current one, so the rest
+  of the current child's subtree repeats explored work; the search returns
+  to that ancestor.
+- orbit pruning: a child is skipped when the automorphisms found so far that
+  fix its node's prefix pointwise map it to an earlier sibling.
+
+Each skipped subtree is an automorphic image of an explored one and has the
+same set of leaf certificates, so the minimum and the first leaf reaching it
+are those of the full tree.  Two shortcuts branch on one vertex only: colour
+refinement is orbit-exact on trees, and mutual twins are swappable.  Highly
+symmetric graphs thus cost a few leaves per orbit of the first path instead
+of about |Aut(G)|; graphs that defeat colour refinement can still take many.
 """
 
 from __future__ import annotations
@@ -64,6 +84,13 @@ def _classes(verts, colors):
     return [by_color[c] for c in sorted(by_color)]
 
 
+def _find(parent, i):
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 class _ComponentCanon:
     def __init__(self, verts, wadj, init_colors, edges, is_tree, leaf_budget):
         self.verts = verts
@@ -73,16 +100,17 @@ class _ComponentCanon:
         self.is_tree = is_tree
         self.leaf_budget = leaf_budget
         self.leaves = 0
-        self.best = None
-        self.best_lab = None
+        self.first = None  # (cert, lab, path) of the first leaf
+        self.best = None  # the same for the first leaf with the least cert
+        self.generators = []  # automorphisms found, as vertex -> vertex dicts
         self.pair_weight = {}
         for u in verts:
             for x, w in wadj[u]:
                 self.pair_weight[(u, x)] = w
 
     def run(self):
-        self._descend(dict(self.init_colors))
-        return self.best, self.best_lab
+        self._descend(dict(self.init_colors), ())
+        return self.best[:2]
 
     def _mutual_twins(self, cls) -> bool:
         """All members swappable pairwise: equal weighted neighbourhoods
@@ -102,7 +130,15 @@ class _ComponentCanon:
         }
         return len(intra) <= 1
 
-    def _descend(self, colors):
+    def _individualise(self, colors, v):
+        split = {u: 2 * colors[u] for u in self.verts}
+        split[v] += 1
+        return split
+
+    def _descend(self, colors, path):
+        """Search below the node that individualised ``path`` (a tuple of
+        vertices).  Returns the depth of the ancestor to jump back to, or
+        None when the search goes on normally."""
         colors = _refine(self.verts, self.wadj, colors)
         classes = _classes(self.verts, colors)
         target = None
@@ -110,20 +146,34 @@ class _ComponentCanon:
             if len(cls) > 1 and (target is None or len(cls) < len(target)):
                 target = cls
         if target is None:
-            self._leaf(colors)
-            return
+            return self._leaf(colors, path)
         # One branch suffices when the class is provably an orbit: colour
         # refinement is orbit-exact on trees, and mutual twins are swappable.
         if self.is_tree or self._mutual_twins(target):
-            branch_vertices = target[:1]
-        else:
-            branch_vertices = target
-        for v in branch_vertices:
-            split = {u: 2 * colors[u] for u in self.verts}
-            split[v] += 1
-            self._descend(split)
+            v = target[0]
+            return self._descend(self._individualise(colors, v), path + (v,))
+        depth = len(path)
+        index = {v: i for i, v in enumerate(target)}
+        # Union-find over the class under the generators that fix ``path``
+        # pointwise; each root is the earliest member of its orbit.
+        orbit = list(range(len(target)))
+        absorbed = 0
+        for i, v in enumerate(target):
+            for gamma in self.generators[absorbed:]:
+                if all(gamma[p] == p for p in path):
+                    for u in target:
+                        a, b = _find(orbit, index[u]), _find(orbit, index[gamma[u]])
+                        if a != b:
+                            orbit[max(a, b)] = min(a, b)
+            absorbed = len(self.generators)
+            if _find(orbit, i) != i:
+                continue  # an image of an explored sibling's subtree
+            jump = self._descend(self._individualise(colors, v), path + (v,))
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    def _leaf(self, colors):
+    def _leaf(self, colors, path):
         self.leaves += 1
         if self.leaves > self.leaf_budget:
             raise CanonBudgetExceeded(
@@ -136,9 +186,22 @@ class _ComponentCanon:
         )
         init = tuple(self.init_colors[v] for v in sorted(self.verts, key=lab.get))
         cert = (len(self.verts), len(self.edges), tuple(edges), init)
-        if self.best is None or cert < self.best:
-            self.best = cert
-            self.best_lab = lab
+        if self.first is None:
+            self.first = self.best = (cert, lab, path)
+            return None
+        for ref_cert, ref_lab, ref_path in (self.first, self.best):
+            if cert == ref_cert:
+                # ref and this leaf relabel the graph alike, so gamma is an
+                # automorphism.  Refinement keeps the order of classes, so an
+                # individualised vertex's label is set by its class's place;
+                # hence gamma maps ref's path onto this one (of equal length)
+                # and fixes their common prefix.  Jump back to where they part.
+                vertex_at = {label: v for v, label in lab.items()}
+                self.generators.append({v: vertex_at[ref_lab[v]] for v in self.verts})
+                return next(d for d, (u, w) in enumerate(zip(path, ref_path)) if u != w)
+        if cert < self.best[0]:
+            self.best = (cert, lab, path)
+        return None
 
 
 def _pack(n, m, edges, colors) -> bytes:

@@ -1,7 +1,8 @@
 """Command-line surface: construction, incidence analysis, and root search.
 
 Exit codes: 0 success, 1 negative decision (not minimal / not equivalent),
-2 usage or input error, 3 budget or cap exceeded.
+2 usage or input error, 3 budget or cap exceeded, 4 internal error (any
+other exception, including a failed self-check), reported as one line.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -352,6 +354,11 @@ def main(argv=None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as err:
+        # Last resort at the process boundary: one line and a distinct exit
+        # code instead of a traceback, so a crash never reads as exit 1.
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

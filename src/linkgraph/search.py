@@ -38,6 +38,16 @@ class SearchRefused(RuntimeError):
     """The derived bounds exceed the configured desk-scale budget."""
 
 
+class InternalCheckError(RuntimeError):
+    """A result failed a check that the theory guarantees: a program fault,
+    not bad input.  Raised explicitly so that ``python -O`` keeps it."""
+
+
+def _check(condition: bool, message: str):
+    if not condition:
+        raise InternalCheckError(message)
+
+
 class BudgetExceeded(RuntimeError):
     """Time budget ran out; carries the partial results and statistics."""
 
@@ -143,22 +153,32 @@ def _audit_link_root(g: Multigraph, h: Multigraph, ell: int):
     result = link_graph(g, ell)
     parts = link_partitions(result)
     census = count_cyclic_components(PartitionedGraph.from_link_graph(result, parts))
-    assert g.m <= ell * h.n, "size bound violated"
-    assert g.n <= ell * h.n + census.acyclic_count, "order bound violated"
+    _check(g.m <= ell * h.n, "size bound violated")
+    _check(g.n <= ell * h.n + census.acyclic_count, "order bound violated")
     b = max(census.acyclic_count, census.max_part_degree)
-    assert g.max_degree() <= b + 1, "degree bound violated"
+    _check(g.max_degree() <= b + 1, "degree bound violated")
     if g.is_tree():
         ecc = metrics(g).eccentricity
         cap = len(result.graph.components()) + 1
         for v in range(g.n):
             if ecc[v] < ell:
-                assert g.degree(v) <= cap, "tree interior degree bound violated"
+                _check(g.degree(v) <= cap, "tree interior degree bound violated")
 
 
 def _audit_path_root(g: Multigraph, h: Multigraph, ell: int):
     c = metrics(h).component_count
-    assert g.m <= ell * h.n, "path-root size bound violated"
-    assert g.n <= ell * h.n + c, "path-root order bound violated"
+    _check(g.m <= ell * h.n, "path-root size bound violated")
+    _check(g.n <= ell * h.n + c, "path-root order bound violated")
+
+
+def _verified_witness(graph: Multigraph, h: Multigraph) -> dict:
+    """An isomorphism graph -> h, checked edge by edge."""
+    witness = find_isomorphism(graph, h)
+    _check(
+        witness is not None and verify_isomorphism(graph, h, witness),
+        "isomorphism witness failed verification",
+    )
+    return witness
 
 
 class _LinkTarget:
@@ -212,10 +232,7 @@ class _LinkTarget:
         result = link_graph(g, self.ell, max_links=self.options.max_links)
         if canonical_form(result.graph) != self.h_cert:
             return None
-        witness = find_isomorphism(result.graph, self.h)
-        assert witness is not None and verify_isomorphism(
-            result.graph, self.h, witness
-        )
+        witness = _verified_witness(result.graph, self.h)
         _audit_link_root(g, self.h, self.ell)
         return RootRecord(graph=g, canonical=cert, witness=witness)
 
@@ -330,10 +347,7 @@ class _PathTarget:
         result = path_graph(g, self.ell, max_links=self.options.max_links)
         if canonical_form(result.graph) != self.h_cert:
             return None
-        witness = find_isomorphism(result.graph, self.h)
-        assert witness is not None and verify_isomorphism(
-            result.graph, self.h, witness
-        )
+        witness = _verified_witness(result.graph, self.h)
         _audit_path_root(g, self.h, self.ell)
         return RootRecord(graph=g, canonical=cert, witness=witness)
 
@@ -452,8 +466,7 @@ def _trivial_rootset(h, ell, mode, graphs):
     records = []
     for g in graphs:
         result = link_graph(g, ell) if mode == "link" else path_graph(g, ell)
-        witness = find_isomorphism(result.graph, h)
-        assert witness is not None and verify_isomorphism(result.graph, h, witness)
+        witness = _verified_witness(result.graph, h)
         records.append(
             RootRecord(graph=g, canonical=canonical_form(g), witness=witness)
         )
@@ -556,7 +569,7 @@ def pair_empty_roots(ell: int) -> RootSet:
     graphs = [path_graph_family(ell).disjoint_union(path_graph_family(ell))]
     graphs += [tailed_path(ell, i, i) for i in range(1, (ell - 1) // 2 + 1)]
     out = _trivial_rootset(h, ell, "link", graphs)
-    assert len(out) == (ell + 1) // 2
+    _check(len(out) == (ell + 1) // 2, "closed-form root count violated")
     return out
 
 

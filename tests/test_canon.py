@@ -1,9 +1,12 @@
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkgraph import families
 from linkgraph.canon import (
+    CanonBudgetExceeded,
     canonical_form,
     canonical_labeling,
     find_isomorphism,
@@ -11,6 +14,7 @@ from linkgraph.canon import (
     verify_isomorphism,
     vertex_orbits,
 )
+from linkgraph.construct import link_graph
 from linkgraph.multigraph import Multigraph
 
 from util import random_graph_corpus
@@ -117,3 +121,108 @@ def test_cert_distinguishes_corpus_sizes():
             assert g.n == other.n and g.m == other.m
             assert sorted(g.degrees()) == sorted(other.degrees())
         seen[cert] = g
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return Multigraph(10, outer + inner + spokes)
+
+
+def _circulant(n, jumps):
+    return Multigraph(
+        n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in jumps})
+    )
+
+
+def _golden_inputs():
+    """name -> (graph, colours) for the pinned certificates."""
+    doubled_c3 = Multigraph(3, [e for e in families.cycle(3).edges for _ in range(2)])
+    return {
+        "L(K5)": (link_graph(families.complete(5), 1).graph, None),
+        "L(K6)": (link_graph(families.complete(6), 1).graph, None),
+        "L_2(K4)": (link_graph(families.complete(4), 2).graph, None),
+        "Petersen": (_petersen(), None),
+        "L(Petersen)": (link_graph(_petersen(), 1).graph, None),
+        "C12": (families.cycle(12), None),
+        "K3,3": (Multigraph(6, [(i, j) for i in range(3) for j in range(3, 6)]), None),
+        "L_2(2C3)": (link_graph(doubled_c3, 2).graph, None),
+        # two pentagons, the second labelled as a pentagram
+        "C5+C5": (
+            Multigraph(
+                10,
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                 (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
+            ),
+            None,
+        ),
+        "coloured C6": (families.cycle(6), [1, 0, 0, 1, 0, 0]),
+        # the line graph of the circulant C20(7, 9, 10): back-jumping to the
+        # root instead of the deepest common ancestor changes its certificate
+        "L(C20(7,9,10))": (link_graph(_circulant(20, (7, 9, 10)), 1).graph, None),
+    }
+
+
+# Canonical hex and labeling, recorded before automorphism pruning existed;
+# the pruned search must reproduce them byte for byte, because roots.tsv and
+# the canonical-parent choices of the root search are built on them.
+GOLDEN = {
+    "L(K5)": (
+        "0a001e000100020003000400050006010201030104010701080205020602070208"
+        "030403050307030904060408040905060507050906080609070807090809",
+        (9, 8, 6, 4, 7, 5, 3, 2, 1, 0),
+    ),
+    "L_2(K4)": (
+        "0c0018000100020004000901030104010a02050206020703050306030804070408"
+        "050805090607060a070b080b090a090b0a0b",
+        (11, 6, 9, 1, 2, 4, 10, 7, 8, 3, 0, 5),
+    ),
+    "Petersen": (
+        "0a000f000200040006010301040107020502070305030604080508060907090809",
+        (9, 8, 5, 3, 6, 7, 4, 2, 1, 0),
+    ),
+    "C12": (
+        "0c000c000100020103020403050406050706080709080a090b0a0b",
+        (11, 10, 8, 6, 4, 2, 0, 1, 3, 5, 7, 9),
+    ),
+    "K3,3": ("060009000200030004010201030104020503050405", (5, 1, 0, 4, 3, 2)),
+    "C5+C5": (
+        "0a000a0001000201030204030405060507060807090809",
+        (4, 3, 1, 0, 2, 9, 6, 7, 8, 5),
+    ),
+    "coloured C6": (
+        "060006000200040103010402050305ff000000000000000000010001",
+        (5, 3, 1, 4, 0, 2),
+    ),
+}
+# sha256 of form bytes + labeling bytes, first 16 hex digits
+GOLDEN_DIGESTS = {
+    "L(K6)": "a5d29f391f2de9eb",
+    "L(Petersen)": "83ce1a0050c06c02",
+    "L_2(2C3)": "97864c65d9c5dbc5",
+    "L(C20(7,9,10))": "52bc52cf19d7ca14",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_certificates(name):
+    form, lab = canonical_labeling(*_golden_inputs()[name])
+    assert (form.hex(), lab) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_certificate_digests(name):
+    form, lab = canonical_labeling(*_golden_inputs()[name])
+    digest = hashlib.sha256(form.data + bytes(lab)).hexdigest()[:16]
+    assert digest == GOLDEN_DIGESTS[name]
+
+
+def test_automorphism_pruning_bounds_leaves():
+    # Without pruning these need |Aut| leaves: 40320 for L(K8), 400 for C200.
+    line_k8 = link_graph(families.complete(8), 1).graph
+    for g, budget in ((line_k8, 32), (families.cycle(200), 8)):
+        form, lab = canonical_labeling(g, leaf_budget=budget)
+        assert sorted(lab) == list(range(g.n))
+    with pytest.raises(CanonBudgetExceeded):
+        canonical_labeling(families.cycle(200), leaf_budget=2)

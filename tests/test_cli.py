@@ -139,6 +139,16 @@ def test_refusal_exit_code(tmp_path):
     assert main(["roots", "-l", "3", path, "--outdir", str(tmp_path / "x")]) == 3
 
 
+def test_internal_error_exit_code(tmp_path, capsys):
+    # 70 000 parallel edges overflow the certificate's edge-count field
+    path = tmp_path / "bundle.mg"
+    path.write_text("mg 1\nn 2\n" + "e 0 1\n" * 70_000, encoding="utf-8")
+    assert main(["canon", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_canon_command(tmp_path, capsys):
     a = write_graph(tmp_path, "a.mg", families.cycle(3))
     b = write_graph(tmp_path, "b.mg", families.complete(3))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import pytest
@@ -7,6 +11,7 @@ from linkgraph.canon import canonical_form, is_isomorphic
 from linkgraph.construct import link_graph, path_graph
 from linkgraph.incidence import is_l_minimal
 from linkgraph.multigraph import Multigraph
+from linkgraph import search as search_module
 from linkgraph.search import (
     BudgetExceeded,
     SearchOptions,
@@ -308,8 +313,41 @@ def test_double_star_has_four_tail_classes():
 
 
 def test_audit_runs_on_every_root():
-    # the audits are assertions inside the search; both searches succeeding
+    # the audits are checks inside the search; both searches succeeding
     # on a mixed target exercises them
     target = link_graph(families.tailed_path(3, 1, 1), 3).graph  # 2K1
     roots = minimal_link_roots(target, 3)
     assert len(roots) == 2
+
+
+def test_forged_witness_caught_under_optimize():
+    # python -O strips assert statements; the witness check must survive it
+    script = textwrap.dedent(
+        """
+        import sys
+        from linkgraph import families, search
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        search.find_isomorphism = lambda g, h: {v: 0 for v in range(g.n)}
+        runs = {
+            "link search": lambda: search.minimal_link_roots(families.cycle(4), 1),
+            "path search": lambda: search.minimal_path_roots(families.path(1), 1),
+            "closed form": lambda: search.cycle_roots(6, 2),
+        }
+        for name, run in runs.items():
+            try:
+                run()
+            except search.InternalCheckError:
+                continue
+            sys.exit(name + " accepted a forged witness")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search_module.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
