@@ -30,13 +30,12 @@ from .incidence import (
     is_unit_l_incident,
 )
 from .links import (
-    Arc,
     Link,
     count_links,
-    enumerate_arcs,
     enumerate_links,
     enumerate_paths,
     induced_graph,
+    iter_links,
     link_girth,
 )
 from .multigraph import (

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .canon import CanonBudgetExceeded, canonical_form
 from .construct import (
+    DEFAULT_MAX_LINKS,
     ConstructionError,
     link_graph,
     link_partitions,
@@ -55,38 +55,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation: one subcommand, ell >= 0, positive budget."""
-
-    command: str
-    inputs: tuple
-    ell: int = 0
-    output: str | None = None
-    dot: str | None = None
-    provenance: str | None = None
-    partitions: str | None = None
-    recipe: str | None = None
-    path_mode: bool = False
-    trees_only: bool = False
-    forests_only: bool = False
-    connected_only: bool = False
-    budget: float | None = None
-    max_links: int = 10**6
-    max_edges_limit: int = 20
-    outdir: str = "roots"
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown subcommand {self.command!r}")
-        if self.ell < 0:
-            raise ValueError("ell must be non-negative")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.max_links <= 0:
-            raise ValueError("max-links must be positive")
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkgraph",
@@ -98,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("-l", "--ell", type=int, required=True)
         if output:
             p.add_argument("-o", "--output", help="output file (default stdout)")
-        p.add_argument("--max-links", type=int, default=10**6)
+        p.add_argument("--max-links", type=int, default=DEFAULT_MAX_LINKS)
 
     p = sub.add_parser("link", help="construct the ell-link graph")
     common(p)
@@ -144,8 +112,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--forests-only", action="store_true")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--budget", type=float, help="time budget in seconds")
-    p.add_argument("--max-links", type=int, default=10**6)
-    p.add_argument("--max-edges-limit", type=int, default=20)
+    p.add_argument("--max-links", type=int, default=DEFAULT_MAX_LINKS)
+    p.add_argument(
+        "--max-edges-limit", type=int, default=SearchOptions.max_edges_limit
+    )
 
     p = sub.add_parser("canon", help="canonical form hex")
     p.add_argument("input")
@@ -153,29 +123,15 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    if args.command == "equiv":
-        inputs = (args.first, args.second)
-    else:
-        inputs = (args.input,)
-    return CliConfig(
-        command=args.command,
-        inputs=inputs,
-        ell=getattr(args, "ell", 0),
-        output=getattr(args, "output", None),
-        dot=getattr(args, "dot", None),
-        provenance=getattr(args, "provenance", None),
-        partitions=getattr(args, "partitions", None),
-        recipe=getattr(args, "recipe", None),
-        path_mode=getattr(args, "path", False),
-        trees_only=getattr(args, "trees_only", False),
-        forests_only=getattr(args, "forests_only", False),
-        connected_only=getattr(args, "connected_only", False),
-        budget=getattr(args, "budget", None),
-        max_links=getattr(args, "max_links", 10**6),
-        max_edges_limit=getattr(args, "max_edges_limit", 20),
-        outdir=getattr(args, "outdir", "roots"),
-    )
+def _check_values(args: argparse.Namespace):
+    """The value rules argparse cannot state: ell >= 0, positive caps."""
+    if getattr(args, "ell", 0) < 0:
+        raise ValueError("ell must be non-negative")
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget <= 0:
+        raise ValueError("budget must be positive")
+    if getattr(args, "max_links", DEFAULT_MAX_LINKS) <= 0:
+        raise ValueError("max-links must be positive")
 
 
 def _emit(text: str, path: str | None):
@@ -190,82 +146,82 @@ def _fmt_value(x):
     return "INF" if x == INFINITE else str(int(x))
 
 
-def _cmd_link(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
-    result = link_graph(g, cfg.ell, max_links=cfg.max_links)
-    _emit(format_multigraph(result.graph), cfg.output)
-    if cfg.partitions:
-        _emit(format_partitions(link_partitions(result)), cfg.partitions)
-    if cfg.provenance:
-        _emit(format_provenance(result), cfg.provenance)
-    if cfg.dot:
-        _emit(result_to_dot(result), cfg.dot)
+def _cmd_link(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
+    result = link_graph(g, args.ell, max_links=args.max_links)
+    _emit(format_multigraph(result.graph), args.output)
+    if args.partitions:
+        _emit(format_partitions(link_partitions(result)), args.partitions)
+    if args.provenance:
+        _emit(format_provenance(result), args.provenance)
+    if args.dot:
+        _emit(result_to_dot(result), args.dot)
     return EXIT_OK
 
 
-def _cmd_pathgraph(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
-    result = path_graph(g, cfg.ell, max_links=cfg.max_links)
-    _emit(format_multigraph(result.graph), cfg.output)
-    if cfg.provenance:
-        _emit(format_provenance(result), cfg.provenance)
-    if cfg.dot:
-        _emit(result_to_dot(result), cfg.dot)
+def _cmd_pathgraph(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
+    result = path_graph(g, args.ell, max_links=args.max_links)
+    _emit(format_multigraph(result.graph), args.output)
+    if args.provenance:
+        _emit(format_provenance(result), args.provenance)
+    if args.dot:
+        _emit(result_to_dot(result), args.dot)
     return EXIT_OK
 
 
-def _cmd_incidence(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
-    report = incidence_subgraph(g, cfg.ell)
+def _cmd_incidence(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
+    report = incidence_subgraph(g, args.ell)
     out = [format_multigraph(report.graph).rstrip("\n")]
     for v in range(g.n):
         flag = "yes" if report.vertex_flags[v] else "no"
-        out.append(f"# vertex {v} {cfg.ell}-incident: {flag}")
+        out.append(f"# vertex {v} {args.ell}-incident: {flag}")
     for e in range(g.m):
         flag = "yes" if report.edge_flags[e] else "no"
-        out.append(f"# edge {e} {cfg.ell}-incident: {flag}")
-    _emit("\n".join(out) + "\n", cfg.output)
+        out.append(f"# edge {e} {args.ell}-incident: {flag}")
+    _emit("\n".join(out) + "\n", args.output)
     return EXIT_OK
 
 
-def _cmd_minimal(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
-    vflags, eflags = unit_flags(g, cfg.ell)
+def _cmd_minimal(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
+    vflags, eflags = unit_flags(g, args.ell)
     for v, flag in enumerate(vflags):
         if not flag:
-            print(f"not minimal: vertex {v} is not {cfg.ell}-incident")
+            print(f"not minimal: vertex {v} is not {args.ell}-incident")
             return EXIT_NEGATIVE
     for e, flag in enumerate(eflags):
         if not flag:
-            print(f"not minimal: edge {e} is not {cfg.ell}-incident")
+            print(f"not minimal: edge {e} is not {args.ell}-incident")
             return EXIT_NEGATIVE
     print("minimal")
     return EXIT_OK
 
 
-def _cmd_equiv(cfg: CliConfig) -> int:
-    a = read_multigraph(cfg.inputs[0])
-    b = read_multigraph(cfg.inputs[1])
-    if is_l_equivalent(a, b, cfg.ell):
+def _cmd_equiv(args: argparse.Namespace) -> int:
+    a = read_multigraph(args.first)
+    b = read_multigraph(args.second)
+    if is_l_equivalent(a, b, args.ell):
         print("equivalent")
         return EXIT_OK
     print("not equivalent")
     return EXIT_NEGATIVE
 
 
-def _cmd_expand(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
-    with open(cfg.recipe, encoding="utf-8") as fh:
+def _cmd_expand(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
+    with open(args.recipe, encoding="utf-8") as fh:
         recipe = parse_recipe(
-            fh.read(), base_dir=os.path.dirname(cfg.recipe) or "."
+            fh.read(), base_dir=os.path.dirname(args.recipe) or "."
         )
-    out = expand_class(g, cfg.ell, recipe)
-    _emit(format_multigraph(out), cfg.output)
+    out = expand_class(g, args.ell, recipe)
+    _emit(format_multigraph(out), args.output)
     return EXIT_OK
 
 
-def _cmd_analyze(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
     m = metrics(g)
     lines = [
         f"n {g.n}",
@@ -278,7 +234,7 @@ def _cmd_analyze(cfg: CliConfig) -> int:
         f"girth {_fmt_value(m.girth)}",
         "degree-set " + " ".join(str(d) for d in sorted(graph_degree_set(g))),
     ]
-    result, parts = partitioned_link_graph(g, cfg.ell, max_links=cfg.max_links)
+    result, parts = partitioned_link_graph(g, args.ell, max_links=args.max_links)
     pg = PartitionedGraph.from_link_graph(result, parts)
     census = count_cyclic_components(pg)
     lines += [
@@ -292,27 +248,27 @@ def _cmd_analyze(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_roots(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
+def _cmd_roots(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
     options = SearchOptions(
-        trees_only=cfg.trees_only,
-        forests_only=cfg.forests_only,
-        connected_only=cfg.connected_only,
-        budget_seconds=cfg.budget,
-        max_edges_limit=cfg.max_edges_limit,
-        max_links=cfg.max_links,
+        trees_only=args.trees_only,
+        forests_only=args.forests_only,
+        connected_only=args.connected_only,
+        budget_seconds=args.budget,
+        max_edges_limit=args.max_edges_limit,
+        max_links=args.max_links,
     )
-    search = minimal_path_roots if cfg.path_mode else minimal_link_roots
-    root_set = search(g, cfg.ell, options)
-    written = write_root_set(root_set, cfg.outdir)
-    print(f"{len(root_set)} minimal {'path ' if cfg.path_mode else ''}roots")
+    search = minimal_path_roots if args.path else minimal_link_roots
+    root_set = search(g, args.ell, options)
+    written = write_root_set(root_set, args.outdir)
+    print(f"{len(root_set)} minimal {'path ' if args.path else ''}roots")
     for name in written:
-        print(f"wrote {os.path.join(cfg.outdir, name)}")
+        print(f"wrote {os.path.join(args.outdir, name)}")
     return EXIT_OK
 
 
-def _cmd_canon(cfg: CliConfig) -> int:
-    g = read_multigraph(cfg.inputs[0])
+def _cmd_canon(args: argparse.Namespace) -> int:
+    g = read_multigraph(args.input)
     print(canonical_form(g).hex())
     return EXIT_OK
 
@@ -337,8 +293,8 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
     try:
-        cfg = _config_from(args)
-        return _COMMANDS[cfg.command](cfg)
+        _check_values(args)
+        return _COMMANDS[args.command](args)
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,15 +33,17 @@ class LinkGraphResult:
 
     def vertex_of(self, link: Link) -> int:
         try:
-            return self._index()[link.seq]
+            return self._index("vertex_provenance")[link.seq]
         except KeyError:
             raise ConstructionError(f"{link} is not a vertex of this result")
 
-    def _index(self):
-        cache = getattr(self, "_idx", None)
+    def _index(self, provenance: str):
+        """Lazy map from link sequence to id over a provenance tuple of links."""
+        attr = f"_idx_{provenance}"
+        cache = getattr(self, attr, None)
         if cache is None:
-            cache = {l.seq: i for i, l in enumerate(self.vertex_provenance)}
-            object.__setattr__(self, "_idx", cache)
+            cache = {l.seq: i for i, l in enumerate(getattr(self, provenance))}
+            object.__setattr__(self, attr, cache)
         return cache
 
 
@@ -213,7 +215,7 @@ def project_link(result: LinkGraphResult, r: Link) -> ProjectedLink:
         result.vertex_of(Link(_canonical(seq[2 * i: 2 * i + 2 * ell + 1])))
         for i in range(s + 1)
     ]
-    edge_index = {q.seq: eid for eid, q in enumerate(result.edge_provenance)}
+    edge_index = result._index("edge_provenance")
     out = [vertex_ids[0]]
     for j in range(1, s + 1):
         q = _canonical(seq[2 * (j - 1): 2 * (j - 1) + 2 * ell + 3])

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import canonical_form, is_isomorphic
-from .links import Link, iter_arcs
-from .multigraph import Multigraph, MultigraphError, metrics
+from .canon import canonical_form
+from .links import Link, iter_links
+from .multigraph import Multigraph, MultigraphError, _check, metrics
 
 
 class RecipeError(ValueError):
@@ -137,12 +137,11 @@ def is_unit_l_incident(
 def incidence_witnesses(g: Multigraph, ell: int):
     """First ell-link through each incident unit (materializes the walks)."""
     witnesses = {}
-    for seq in iter_arcs(g, ell):
-        canon = min(seq, seq[::-1])
-        for i, v in enumerate(canon[0::2]):
-            witnesses.setdefault(("vertex", v), Link(canon))
-        for e in canon[1::2]:
-            witnesses.setdefault(("edge", e), Link(canon))
+    for seq in iter_links(g, ell):
+        for v in seq[0::2]:
+            witnesses.setdefault(("vertex", v), Link(seq))
+        for e in seq[1::2]:
+            witnesses.setdefault(("edge", e), Link(seq))
     return witnesses
 
 
@@ -301,22 +300,19 @@ def _component_diameters(g: Multigraph):
 def count_incidence_pairs(g: Multigraph, ell: int, s: int):
     """i_G(ell, s) plus the per-link counts of incident s-links.
 
-    Returns (total, {Link -> count}).  Asserts the counting bounds
+    Returns (total, {Link -> count}).  Checks the counting bounds
     min{girth of the projected link, ell - s + 1} <= count <= ell - s + 1.
     """
     if not 0 <= s <= ell:
         raise MultigraphError("need 0 <= s <= ell")
-    from .links import _canonical, link_girth
+    from .links import _canonical
 
     per_link = {}
-    for seq in iter_arcs(g, ell):
-        canon = min(seq, seq[::-1])
-        if canon != seq:
-            continue
+    for seq in iter_links(g, ell):
         sublinks = {
             _canonical(seq[2 * i: 2 * i + 2 * s + 1]) for i in range(ell - s + 1)
         }
-        per_link[Link(canon)] = len(sublinks)
+        per_link[Link(seq)] = len(sublinks)
     # bound audit via the projected sequence girth
     for link, count in per_link.items():
         seq = link.seq
@@ -326,9 +322,9 @@ def count_incidence_pairs(g: Multigraph, ell: int, s: int):
         girth = _sequence_girth(proj_vertices)
         upper = ell - s + 1
         lower = min(girth, upper)
-        assert lower <= count <= upper, (link, count, girth)
+        _check(lower <= count <= upper, "incidence-pair count out of bounds")
         # maximal count exactly characterizes path-like projections
-        assert (count == upper) == (girth > ell - s), (link, count, girth)
+        _check((count == upper) == (girth > ell - s), "count and girth disagree")
     total = sum(per_link.values())
     return total, per_link
 

@@ -1,8 +1,13 @@
-"""Walks with distinct consecutive edges: arcs (directed) and links (reversal-free).
+"""Links: walks whose consecutive edges differ, taken up to reversal.
 
-An arc of length ell is stored as the interleaved tuple
-(v0, e1, v1, e2, ..., e_ell, v_ell).  A link is the pair {arc, reversed arc},
-canonically represented by the lexicographically smaller of the two tuples.
+A walk of length ell is stored as the interleaved tuple
+(v0, e1, v1, e2, ..., e_ell, v_ell).  An ell-link is a walk identified with
+its reverse and is represented by the lexicographically smaller of the two
+tuples.  ``iter_links`` is the one enumerator: under its step rules it
+yields the links, the paths (no repeated vertex) and the links of a
+partitioned graph (consecutive edges in different parts).
+``count_arcs_by_length`` counts directed walks of every length without
+enumerating them.
 """
 
 from __future__ import annotations
@@ -27,33 +32,8 @@ def _canonical(seq: tuple) -> tuple:
 
 
 @dataclass(frozen=True)
-class Arc:
-    """A directed walk whose consecutive edges differ."""
-
-    seq: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.seq) // 2
-
-    @property
-    def vertices(self) -> tuple:
-        return self.seq[0::2]
-
-    @property
-    def edge_ids(self) -> tuple:
-        return self.seq[1::2]
-
-    def reverse(self) -> "Arc":
-        return Arc(self.seq[::-1])
-
-    def link(self) -> "Link":
-        return Link(_canonical(self.seq))
-
-
-@dataclass(frozen=True)
 class Link:
-    """An arc identified with its reverse; ``seq`` is the canonical orientation."""
+    """A walk identified with its reverse; ``seq`` is the canonical orientation."""
 
     seq: tuple
 
@@ -73,18 +53,11 @@ class Link:
     def edge_ids(self) -> tuple:
         return self.seq[1::2]
 
-    def arc(self) -> Arc:
-        return Arc(self.seq)
-
     def sublink(self, i: int, j: int) -> "Link":
         """The (j - i)-link at positions i..j of the canonical orientation."""
         if not 0 <= i <= j <= self.length:
             raise IndexError(f"sublink bounds {i}..{j} outside 0..{self.length}")
         return Link(_canonical(self.seq[2 * i: 2 * j + 1]))
-
-    def is_path(self) -> bool:
-        verts = self.vertices
-        return len(set(verts)) == len(verts)
 
     def __lt__(self, other):
         return self.seq < other.seq
@@ -120,26 +93,37 @@ def is_link_of(g: Multigraph, link: Link) -> bool:
     return _check_host(g, link.seq)
 
 
-def iter_arcs(g: Multigraph, ell: int):
-    """Yield every ell-arc of g, grouped by starting vertex."""
+def iter_links(g: Multigraph, ell: int, distinct: bool = False, owner=None):
+    """Yield every ell-link of g once, as its canonical sequence.
+
+    Walks grow depth-first from the start vertices in ascending order.  A
+    step may not take the edge just used; with ``owner`` (edge id -> part)
+    it may not stay in that edge's part, and with ``distinct`` it may not
+    revisit a vertex, so only paths come out.  A finished walk is kept when
+    it is smaller than its reverse.  For ell >= 1 the two always differ: a
+    walk equal to its reverse needs a loop or a step straight back along
+    the same edge.
+    """
     if ell < 0:
-        raise MultigraphError("arc length must be non-negative")
+        raise MultigraphError("link length must be non-negative")
     if ell == 0:
         for v in range(g.n):
             yield (v,)
         return
     adj = g.adjacency
+    part = range(g.m) if owner is None else owner
     stack = [(v,) for v in range(g.n - 1, -1, -1)]
     target = 2 * ell + 1
     while stack:
         seq = stack.pop()
         if len(seq) == target:
-            yield seq
+            if seq < seq[::-1]:
+                yield seq
             continue
-        last_v = seq[-1]
-        last_e = seq[-2] if len(seq) > 1 else -1
-        for e, w in adj[last_v]:
-            if e != last_e:
+        last_part = part[seq[-2]] if len(seq) > 1 else -1
+        used = seq[0::2] if distinct else ()
+        for e, w in adj[seq[-1]]:
+            if part[e] != last_part and w not in used:
                 stack.append(seq + (e, w))
 
 
@@ -191,54 +175,23 @@ def enumerate_links(g: Multigraph, ell: int, cap: int | None = None):
         total = count_links(g, ell)
         if total > cap:
             raise LinkCountExceeded(total, cap)
-    seen = set()
-    for seq in iter_arcs(g, ell):
-        seen.add(_canonical(seq))
-    return tuple(Link(s) for s in sorted(seen))
-
-
-def enumerate_arcs(g: Multigraph, ell: int):
-    return tuple(Arc(seq) for seq in sorted(iter_arcs(g, ell)))
-
-
-def iter_paths(g: Multigraph, ell: int):
-    """Yield the canonical sequence of every ell-path (no repeated vertices)."""
-    if ell == 0:
-        for v in range(g.n):
-            yield (v,)
-        return
-    adj = g.adjacency
-    target = 2 * ell + 1
-
-    def extend(seq, used):
-        if len(seq) == target:
-            if seq <= seq[::-1]:
-                yield seq
-            return
-        last_v = seq[-1]
-        last_e = seq[-2] if len(seq) > 1 else -1
-        for e, w in adj[last_v]:
-            if e != last_e and w not in used:
-                yield from extend(seq + (e, w), used | {w})
-
-    for v in range(g.n):
-        yield from extend((v,), {v})
+    return tuple(Link(s) for s in sorted(iter_links(g, ell)))
 
 
 def enumerate_paths(g: Multigraph, ell: int, cap: int | None = None):
     """All ell-paths of g, sorted; cap guards the materialization."""
-    seen = set()
-    for seq in iter_paths(g, ell):
-        seen.add(seq)
-        if cap is not None and len(seen) > cap:
-            raise LinkCountExceeded(len(seen), cap)
-    return tuple(Link(s) for s in sorted(seen))
+    paths = []
+    for seq in iter_links(g, ell, distinct=True):
+        paths.append(seq)
+        if cap is not None and len(paths) > cap:
+            raise LinkCountExceeded(len(paths), cap)
+    return tuple(Link(s) for s in sorted(paths))
 
 
 def count_paths(g: Multigraph, ell: int, stop_above: int | None = None) -> int:
     """Number of ell-paths; stops early once the count passes ``stop_above``."""
     count = 0
-    for _ in iter_paths(g, ell):
+    for _ in iter_links(g, ell, distinct=True):
         count += 1
         if stop_above is not None and count > stop_above:
             return count

@@ -18,6 +18,16 @@ class MultigraphError(ValueError):
     pass
 
 
+class InternalCheckError(RuntimeError):
+    """A result failed a check that the theory guarantees: a program fault,
+    not bad input.  Raised explicitly so that ``python -O`` keeps it."""
+
+
+def _check(condition: bool, message: str):
+    if not condition:
+        raise InternalCheckError(message)
+
+
 class Multigraph:
     """A finite loopless undirected multigraph."""
 
@@ -59,17 +69,6 @@ class Multigraph:
 
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
-
-    def endpoints(self, eid: int):
-        return self.edges[eid]
-
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise MultigraphError(f"vertex {v} is not an end of edge {eid}")
 
     def multiplicity(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
@@ -151,12 +150,6 @@ class Multigraph:
 
     def is_tree(self) -> bool:
         return self.n >= 1 and self.m == self.n - 1 and self.is_connected()
-
-    def is_forest(self) -> bool:
-        return self.is_acyclic()
-
-    def is_simple(self) -> bool:
-        return not self.has_parallel_edges()
 
     def __eq__(self, other):
         return (

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import LinkGraphResult, LinkPartitions
+from .links import iter_links
 from .multigraph import Multigraph
 
 
@@ -243,11 +244,6 @@ def link_degree_sets(g: Multigraph, ell: int):
     return dset, max(dset, default=0), graph_degree_set(g)
 
 
-def max_part_size(pg: PartitionedGraph, which: str = "edge") -> int:
-    parts = pg.edge_parts if which == "edge" else pg.vertex_parts
-    return max((len(p) for p in parts), default=0)
-
-
 def parts_per_vertex(pg: PartitionedGraph) -> int:
     """r(E): the maximum number of edge parts meeting a single vertex."""
     owner = pg.edge_part_of()
@@ -261,21 +257,4 @@ def parts_per_vertex(pg: PartitionedGraph) -> int:
 def partitioned_links(pg: PartitionedGraph, s: int):
     """All s-links of the partitioned graph: consecutive edges must lie in
     different edge parts.  Returned as canonical interleaved tuples."""
-    g = pg.graph
-    owner = pg.edge_part_of()
-    if s == 0:
-        return {(v,) for v in range(g.n)}
-    out = set()
-    stack = [(v,) for v in range(g.n)]
-    target = 2 * s + 1
-    while stack:
-        seq = stack.pop()
-        if len(seq) == target:
-            out.add(min(seq, seq[::-1]))
-            continue
-        last_v = seq[-1]
-        last_part = owner[seq[-2]] if len(seq) > 1 else -1
-        for e, w in g.adjacency[last_v]:
-            if owner[e] != last_part:
-                stack.append(seq + (e, w))
-    return out
+    return set(iter_links(pg.graph, s, owner=pg.edge_part_of()))

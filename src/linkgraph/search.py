@@ -24,28 +24,25 @@ from .canon import (
     find_isomorphism,
     verify_isomorphism,
 )
-from .construct import link_graph, link_partitions, path_graph
+from .construct import DEFAULT_MAX_LINKS, link_graph, link_partitions, path_graph
 from .families import cycle as cycle_graph
 from .families import middle_joined_paths, path as path_graph_family
 from .families import subdivided_star, tailed_path
 from .incidence import is_l_minimal
-from .links import count_arcs_by_length, iter_paths
-from .multigraph import Multigraph, MultigraphError, metrics, tree_split
+from .links import count_arcs_by_length, count_paths, iter_links
+from .multigraph import (
+    InternalCheckError,  # raised by the checks below; callers catch it here
+    Multigraph,
+    MultigraphError,
+    _check,
+    metrics,
+    tree_split,
+)
 from .partition import PartitionedGraph, count_cyclic_components
 
 
 class SearchRefused(RuntimeError):
     """The derived bounds exceed the configured desk-scale budget."""
-
-
-class InternalCheckError(RuntimeError):
-    """A result failed a check that the theory guarantees: a program fault,
-    not bad input.  Raised explicitly so that ``python -O`` keeps it."""
-
-
-def _check(condition: bool, message: str):
-    if not condition:
-        raise InternalCheckError(message)
 
 
 class BudgetExceeded(RuntimeError):
@@ -96,7 +93,7 @@ class SearchOptions:
     connected_only: bool = False
     budget_seconds: float | None = None
     max_edges_limit: int = 20
-    max_links: int = 10**6
+    max_links: int = DEFAULT_MAX_LINKS
 
 
 @dataclass
@@ -123,10 +120,6 @@ class RootRecord:
     @property
     def is_forest(self) -> bool:
         return self.graph.is_acyclic()
-
-    @property
-    def is_cyclic(self) -> bool:
-        return not self.graph.is_acyclic()
 
 
 @dataclass(frozen=True)
@@ -237,27 +230,6 @@ class _LinkTarget:
         return RootRecord(graph=g, canonical=cert, witness=witness)
 
 
-def _iter_dipaths(g: Multigraph, length: int):
-    """All directed paths (arcs with distinct vertices) of the given length."""
-    if length == 0:
-        for v in range(g.n):
-            yield (v,)
-        return
-    stack = [(v,) for v in range(g.n - 1, -1, -1)]
-    target = 2 * length + 1
-    while stack:
-        seq = stack.pop()
-        if len(seq) == target:
-            yield seq
-            continue
-        used = set(seq[0::2])
-        last_v = seq[-1]
-        last_e = seq[-2] if len(seq) > 1 else -1
-        for e, w in g.adjacency[last_v]:
-            if e != last_e and w not in used:
-                stack.append(seq + (e, w))
-
-
 def path_adjacency_pairs(g: Multigraph, ell: int, cap: int | None = None):
     """Edges of the ell-path graph as canonical sequence pairs.
 
@@ -276,16 +248,17 @@ def path_adjacency_pairs(g: Multigraph, ell: int, cap: int | None = None):
         pairs.add((head, tail) if head <= tail else (tail, head))
         return cap is None or len(pairs) <= cap
 
-    for seq in iter_paths(g, ell + 1):
+    for seq in iter_links(g, ell + 1, distinct=True):
         if not add(seq):
             return None
-    for seq in _iter_dipaths(g, ell):
-        v0, vl = seq[0], seq[-1]
-        last_e = seq[-2] if ell >= 1 else -1
-        for e, w in g.adjacency[vl]:
-            if w == v0 and e != last_e:
-                if not add(seq + (e, v0)):
-                    return None
+    for canonical in iter_links(g, ell, distinct=True):
+        for seq in (canonical, canonical[::-1]):
+            v0, vl = seq[0], seq[-1]
+            last_e = seq[-2] if ell >= 1 else -1
+            for e, w in g.adjacency[vl]:
+                if w == v0 and e != last_e:
+                    if not add(seq + (e, v0)):
+                        return None
     return pairs
 
 
@@ -293,7 +266,7 @@ def is_path_minimal(g: Multigraph, ell: int) -> bool:
     """Every unit lies on some ell-path (null graph counts as minimal)."""
     pending_v = set(range(g.n))
     pending_e = set(range(g.m))
-    for seq in iter_paths(g, ell):
+    for seq in iter_links(g, ell, distinct=True):
         pending_v.difference_update(seq[0::2])
         pending_e.difference_update(seq[1::2])
         if not pending_v and not pending_e:
@@ -321,19 +294,16 @@ class _PathTarget:
         self.max_multiplicity = None
 
     def cheap_prune(self, g: Multigraph) -> bool:
-        count = 0
-        for _ in iter_paths(g, self.ell):
-            count += 1
-            if count > self.bounds.required_link_count:
-                return True
+        required = self.bounds.required_link_count
+        if count_paths(g, self.ell, stop_above=required) > required:
+            return True
         pairs = path_adjacency_pairs(
             g, self.ell, cap=self.bounds.required_super_link_count
         )
         return pairs is None
 
     def try_accept(self, g: Multigraph, cert: CanonicalForm):
-        count = sum(1 for _ in iter_paths(g, self.ell))
-        if count != self.bounds.required_link_count:
+        if count_paths(g, self.ell) != self.bounds.required_link_count:
             return None
         pairs = path_adjacency_pairs(g, self.ell)
         if len(pairs) != self.bounds.required_super_link_count:
@@ -443,7 +413,12 @@ def _orderly_search(target, bounds, options) -> tuple:
             visit(child, child_cert)
 
     empty = Multigraph(0)
-    visit(empty, canonical_form(empty))
+    try:
+        visit(empty, canonical_form(empty))
+    finally:
+        # visit reaches itself through its closure, a reference cycle that
+        # would keep every labelling alive until a cyclic GC pass
+        del visit
     return _finish(target, bounds, accepted, stats, start)
 
 
@@ -518,32 +493,6 @@ def minimal_path_roots(
             f"{options.max_edges_limit} (raise max_edges_limit to override)"
         )
     return _orderly_search(_PathTarget(h, ell, bounds, options), bounds, options)
-
-
-def exhaustive_multigraphs(max_n: int, max_m: int):
-    """One representative per isomorphism class, no isolated vertices.
-
-    Level-wise growth with global certificate dedupe; no search prunes.
-    """
-    level = [Multigraph(0)]
-    yield Multigraph(0)
-    for _ in range(max_m):
-        nxt = {}
-        for g in level:
-            augmentations = [
-                (u, v) for u in range(g.n) for v in range(u + 1, g.n)
-            ]
-            if g.n < max_n:
-                augmentations += [(u, g.n) for u in range(g.n)]
-            if g.n + 2 <= max_n:
-                augmentations.append((g.n, g.n + 1))
-            for u, v in augmentations:
-                child = g.add_edge(u, v)
-                cert = canonical_form(child).data
-                if cert not in nxt:
-                    nxt[cert] = child
-        level = [nxt[key] for key in sorted(nxt)]
-        yield from level
 
 
 def cycle_roots(t: int, ell: int) -> RootSet:

@@ -24,7 +24,7 @@ from linkgraph.incidence import (
     is_l_minimal,
     unit_flags,
 )
-from linkgraph.links import count_arcs_by_length, enumerate_links, iter_arcs
+from linkgraph.links import count_arcs_by_length, enumerate_links, iter_links
 from linkgraph.multigraph import INFINITE, Multigraph, metrics
 from linkgraph.partition import (
     PartitionedGraph,
@@ -35,14 +35,13 @@ from linkgraph.search import (
     attach_tail,
     compute_bounds,
     cycle_roots,
-    exhaustive_multigraphs,
     minimal_link_roots,
     minimal_path_roots,
     pair_empty_roots,
     tail_threshold,
 )
 
-from util import acceptance_corpus, random_tree
+from util import acceptance_corpus, exhaustive_multigraphs, random_tree
 
 
 @contextmanager
@@ -171,10 +170,7 @@ def test_criterion_6_projection_completeness(corpus):
 def test_criterion_7_incidence_oracle():
     with criterion(7, "incidence oracle: all graphs n <= 7, m <= 9, ell <= 4"):
         for g in exhaustive_multigraphs(7, 9):
-            links_by_len = {
-                length: {min(s, s[::-1]) for s in iter_arcs(g, length)}
-                for length in range(6)
-            }
+            links_by_len = {length: set(iter_links(g, length)) for length in range(6)}
             for ell in range(5):
                 if ell == 0:
                     vset, eset = set(range(g.n)), set(range(g.m))
@@ -200,9 +196,7 @@ def test_criterion_7_incidence_oracle():
                             out.append(vmap[seq[i + 1]])
                         t = tuple(out)
                         mapped.add(min(t, t[::-1]))
-                    assert mapped == {
-                        min(s, s[::-1]) for s in iter_arcs(sub, length)
-                    }, (g, ell, length)
+                    assert mapped == set(iter_links(sub, length)), (g, ell, length)
 
 
 def test_criterion_8_bound_audit():

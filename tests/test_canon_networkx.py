@@ -82,3 +82,11 @@ def test_forms_agree_with_networkx(g, seed):
     for h in graphs:
         check_against_networkx(h, relabelled(h, rng))
         check_against_networkx(h, relabelled(edge_swapped(h, rng), rng))
+
+
+@given(multigraphs())
+@settings(max_examples=100, deadline=None)
+def test_line_graph_matches_networkx(g):
+    simple = Multigraph(g.n, sorted(set(g.edges)))
+    expected = nx.line_graph(nx.Graph(simple.edges))
+    assert nx.is_isomorphic(as_networkx(link_graph(simple, 1).graph), expected)

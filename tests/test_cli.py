@@ -2,7 +2,7 @@ import pytest
 
 from linkgraph import families
 from linkgraph.canon import is_isomorphic
-from linkgraph.cli import CliConfig, main
+from linkgraph.cli import main
 from linkgraph.formats import format_multigraph, parse_multigraph, read_multigraph
 from linkgraph.multigraph import Multigraph
 
@@ -186,10 +186,16 @@ def test_output_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cliconfig_invariants():
-    with pytest.raises(ValueError):
-        CliConfig(command="link", inputs=("x",), ell=-2)
-    with pytest.raises(ValueError):
-        CliConfig(command="roots", inputs=("x",), budget=0)
-    with pytest.raises(ValueError):
-        CliConfig(command="bogus", inputs=("x",))
+def test_cliconfig_invariants(tmp_path, capsys):
+    path = write_graph(tmp_path, "a.mg", families.cycle(3))
+    rejected = {
+        "ell": ["link", "-l", "-2", path],
+        "budget": ["roots", "-l", "1", path, "--budget", "0"],
+        "max-links": ["analyze", "-l", "1", path, "--max-links", "0"],
+    }
+    for word, argv in rejected.items():
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert word in err[0]
+    assert main(["bogus", path]) == 2

@@ -15,6 +15,7 @@ from linkgraph.incidence import (
     is_unit_l_incident,
     unit_flags,
 )
+from linkgraph.links import is_link_of
 from linkgraph.multigraph import Multigraph, metrics
 
 from util import brute_force_incident_units, brute_force_links, random_graph_corpus
@@ -61,6 +62,36 @@ def test_incidence_flags_match_brute_force():
             vflags, eflags = unit_flags(g, ell)
             assert vflags == tuple(v in vset for v in range(g.n))
             assert eflags == tuple(e in eset for e in range(g.m))
+
+
+def test_incidence_witnesses_are_links_through_the_unit():
+    def contains(link, kind, unit, g):
+        if kind == "vertex":
+            return unit in link.vertices
+        # a 0-link lies inside the edges at its vertex
+        return unit in link.edge_ids or (
+            link.length == 0 and link.vertices[0] in g.edges[unit]
+        )
+
+    for g in random_graph_corpus(seed=71, count=40, max_n=7, max_m=8):
+        for ell in range(5):
+            report = incidence_subgraph(g, ell, with_witnesses=True)
+            units = [("vertex", v, report.vertex_flags[v]) for v in range(g.n)]
+            units += [("edge", e, report.edge_flags[e]) for e in range(g.m)]
+            for kind, unit, incident in units:
+                flag, witness = is_unit_l_incident(
+                    g, kind, unit, ell, with_witness=True
+                )
+                assert flag == incident, (g, ell, kind, unit)
+                if not incident:
+                    assert witness is None
+                    assert (kind, unit) not in report.witnesses
+                    continue
+                assert is_link_of(g, witness) and witness.length == ell
+                assert contains(witness, kind, unit, g), (g, ell, kind, unit)
+                # at ell = 0 no 0-link has an edge, so edges go unlisted
+                if ell or kind == "vertex":
+                    assert report.witnesses[(kind, unit)] == witness
 
 
 def test_incidence_subgraph_small_tree_is_null():

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,16 +11,23 @@ from linkgraph.links import (
     count_arcs_by_length,
     count_links,
     count_paths,
-    enumerate_arcs,
     enumerate_links,
     enumerate_paths,
     induced_graph,
     is_link_of,
+    iter_links,
     link_girth,
 )
 from linkgraph.multigraph import INFINITE, Multigraph, metrics
+from linkgraph.partition import PartitionedGraph, partitioned_links
 
-from util import brute_force_arcs, brute_force_links, random_graph_corpus
+from util import (
+    brute_force_arcs,
+    brute_force_links,
+    brute_force_partitioned_links,
+    brute_force_paths,
+    random_graph_corpus,
+)
 
 
 def small_graphs():
@@ -28,6 +38,39 @@ def small_graphs():
         st.integers(min_value=2, max_value=6),
         st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=9),
     )
+
+
+@given(small_graphs(), st.integers(0, 4), st.lists(st.integers(0, 2), max_size=9))
+@settings(max_examples=80, deadline=None)
+def test_iter_links_matches_brute_force(g, ell, labels):
+    walks = list(iter_links(g, ell))
+    starts = [seq[0] for seq in walks]
+    assert starts == sorted(starts)
+    assert len(set(walks)) == len(walks)
+    assert set(walks) == brute_force_links(g, ell)
+    assert set(iter_links(g, ell, distinct=True)) == brute_force_paths(g, ell)
+    # a random edge partition; missing labels fall in part 0
+    labels = (labels + [0] * g.m)[: g.m]
+    groups = {}
+    for e, label in enumerate(labels):
+        groups.setdefault(label, []).append(e)
+    pg = PartitionedGraph(
+        g,
+        tuple((v,) for v in range(g.n)),
+        tuple(tuple(members) for members in groups.values()),
+    )
+    assert partitioned_links(pg, ell) == brute_force_partitioned_links(pg, ell)
+
+
+def test_walks_longer_than_the_recursion_limit():
+    # the enumerator keeps its own stack, so walk length is not bounded by
+    # Python's recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert count_paths(families.path(320), 300) == 21
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_c3_one_link_per_edge():
@@ -68,7 +111,7 @@ def test_link_reversal_identification():
 def test_arcs_double_links():
     for g in random_graph_corpus(seed=7, count=25, max_n=6, max_m=8):
         for ell in (1, 2, 3):
-            arcs = enumerate_arcs(g, ell)
+            arcs = brute_force_arcs(g, ell)
             links = enumerate_links(g, ell)
             assert len(arcs) == 2 * len(links)
 

@@ -37,7 +37,7 @@ def test_components_and_acyclicity():
     assert g.components() == [[0, 1, 2], [3, 4, 5]]
     assert not g.is_acyclic()
     assert families.path(4).is_tree()
-    assert families.cycle(2).is_simple() is False
+    assert families.cycle(2).has_parallel_edges()
 
 
 def test_metrics_path():

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from linkgraph.search import (
     attach_tail,
     compute_bounds,
     cycle_roots,
-    exhaustive_multigraphs,
     is_path_minimal,
     minimal_link_roots,
     minimal_path_roots,
@@ -28,7 +28,12 @@ from linkgraph.search import (
     tail_threshold,
 )
 
-from util import brute_force_paths, delete_unit, random_graph_corpus
+from util import (
+    brute_force_paths,
+    delete_unit,
+    exhaustive_multigraphs,
+    random_graph_corpus,
+)
 
 
 def certs(graphs):
@@ -321,26 +326,31 @@ def test_audit_runs_on_every_root():
 
 
 def test_forged_witness_caught_under_optimize():
-    # python -O strips assert statements; the witness check must survive it
+    # python -O strips assert statements; the witness and count checks
+    # must survive it
     script = textwrap.dedent(
         """
         import sys
-        from linkgraph import families, search
+        from linkgraph import families, incidence, search
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         search.find_isomorphism = lambda g, h: {v: 0 for v in range(g.n)}
+        incidence._sequence_girth = lambda items: 0
         runs = {
             "link search": lambda: search.minimal_link_roots(families.cycle(4), 1),
             "path search": lambda: search.minimal_path_roots(families.path(1), 1),
             "closed form": lambda: search.cycle_roots(6, 2),
+            "incidence pairs": lambda: incidence.count_incidence_pairs(
+                families.path(4), 3, 1
+            ),
         }
         for name, run in runs.items():
             try:
                 run()
             except search.InternalCheckError:
                 continue
-            sys.exit(name + " accepted a forged witness")
+            sys.exit(name + " passed a forged check")
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(search_module.__file__)))
@@ -351,3 +361,18 @@ def test_forged_witness_caught_under_optimize():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_state_freed_without_cyclic_gc():
+    # a finished search leaves no reference cycle holding its labellings
+    gc.collect()
+    gc.disable()
+    try:
+        for search, h in (
+            (minimal_link_roots, families.cycle(5)),
+            (minimal_path_roots, families.cycle(3)),
+        ):
+            assert len(search(h, 2)) >= 1
+            assert gc.collect() == 0, search.__name__
+    finally:
+        gc.enable()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from linkgraph.canon import canonical_form
 from linkgraph.multigraph import Multigraph
 
 
@@ -47,6 +48,31 @@ def brute_force_paths(g: Multigraph, ell: int):
     }
 
 
+def brute_force_partitioned_links(pg, s: int):
+    """Canonical sequences of the s-links of a partitioned graph: walks whose
+    consecutive edges lie in different edge parts, by naive recursion."""
+    g = pg.graph
+    part = {e: i for i, members in enumerate(pg.edge_parts) for e in members}
+    out = set()
+
+    def grow(seq):
+        if len(seq) == 2 * s + 1:
+            out.add(min(seq, seq[::-1]))
+            return
+        v = seq[-1]
+        for eid, (a, b) in enumerate(g.edges):
+            if len(seq) > 1 and part[seq[-2]] == part[eid]:
+                continue
+            if a == v:
+                grow(seq + (eid, b))
+            elif b == v:
+                grow(seq + (eid, a))
+
+    for v in range(g.n):
+        grow((v,))
+    return out
+
+
 def brute_force_incident_units(g: Multigraph, ell: int):
     """(vertex set, edge set) of units incident to at least one ell-link.
 
@@ -68,6 +94,32 @@ def delete_unit(g: Multigraph, kind: str, unit: int) -> Multigraph:
         return Multigraph(g.n, g.edges[:unit] + g.edges[unit + 1:])
     keep = [v for v in range(g.n) if v != unit]
     return g.induced_on(keep)
+
+
+def exhaustive_multigraphs(max_n: int, max_m: int):
+    """One representative per isomorphism class, no isolated vertices.
+
+    Level-wise growth with global certificate dedupe; no search prunes.
+    """
+    level = [Multigraph(0)]
+    yield Multigraph(0)
+    for _ in range(max_m):
+        nxt = {}
+        for g in level:
+            augmentations = [
+                (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            ]
+            if g.n < max_n:
+                augmentations += [(u, g.n) for u in range(g.n)]
+            if g.n + 2 <= max_n:
+                augmentations.append((g.n, g.n + 1))
+            for u, v in augmentations:
+                child = g.add_edge(u, v)
+                cert = canonical_form(child).data
+                if cert not in nxt:
+                    nxt[cert] = child
+        level = [nxt[key] for key in sorted(nxt)]
+        yield from level
 
 
 def random_graph_corpus(seed: int, count: int, max_n: int, max_m: int):
