@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .links import Link, _canonical, count_links, enumerate_links, is_link_of
+from .links import (
+    Link,
+    LinkCountExceeded,
+    _canonical,
+    count_links,
+    enumerate_links,
+    enumerate_paths,
+    is_link_of,
+    iter_links,
+)
 from .multigraph import Multigraph, MultigraphError
 
 DEFAULT_MAX_LINKS = 10**6
@@ -130,52 +139,55 @@ def partitioned_link_graph(
     return result, link_partitions(result)
 
 
+def path_adjacency_pairs(g: Multigraph, ell: int, cap: int | None = None):
+    """Edges of the ell-path graph as canonical sequence pairs.
+
+    Two ell-paths are adjacent when a common (ell + 1)-walk joins them whose
+    unit union is an (ell + 1)-path or an (ell + 1)-cycle.  Both shapes are
+    walked directly, so bundle-heavy graphs stay cheap.  Returns None as
+    soon as the count passes ``cap``.
+    """
+    pairs = set()
+    width = 2 * ell + 1
+
+    def add(full):
+        head = full[:width]
+        tail = full[2:]
+        head = min(head, head[::-1])
+        tail = min(tail, tail[::-1])
+        pairs.add((head, tail) if head <= tail else (tail, head))
+        return cap is None or len(pairs) <= cap
+
+    for seq in iter_links(g, ell + 1, distinct=True):
+        if not add(seq):
+            return None
+    for canonical in iter_links(g, ell, distinct=True):
+        for seq in (canonical, canonical[::-1]):
+            v0, vl = seq[0], seq[-1]
+            last_e = seq[-2] if ell >= 1 else -1
+            for e, w in g.adjacency[vl]:
+                if w == v0 and e != last_e:
+                    if not add(seq + (e, v0)):
+                        return None
+    return pairs
+
+
 def path_graph(
     g: Multigraph, ell: int, max_links: int = DEFAULT_MAX_LINKS
 ) -> LinkGraphResult:
     """The ell-path graph of g (simple), with provenance maps.
 
-    Two ell-paths are adjacent when a common (ell + 1)-walk joins them whose
-    unit union is an (ell + 1)-path or an (ell + 1)-cycle, i.e. when some
-    (ell + 1)-link that is itself a path or a cycle has them as its initial
-    and final subsequences.
+    Edges come from ``path_adjacency_pairs``; ``max_links`` caps both the
+    ell-paths and the path-graph edges.
     """
     if ell < 0:
         raise MultigraphError("ell must be non-negative")
-    if ell == 0:
-        # degenerate: two 0-paths are adjacent when some edge joins them
-        pairs = sorted({(u, v) for u, v in g.edges})
-        return LinkGraphResult(
-            graph=Multigraph(g.n, pairs),
-            mode="path",
-            source=g,
-            ell=0,
-            vertex_provenance=tuple(Link((v,)) for v in range(g.n)),
-            edge_provenance=tuple(
-                (Link((u,)), Link((v,))) for u, v in pairs
-            ),
-        )
-    from .links import enumerate_paths
-
     paths = enumerate_paths(g, ell, cap=max_links)
+    pairs = path_adjacency_pairs(g, ell, cap=max_links)
+    if pairs is None:
+        raise LinkCountExceeded(max_links + 1, max_links)
     index = {p.seq: i for i, p in enumerate(paths)}
-    candidate_pairs = set()
-    for q in enumerate_links(g, ell + 1, cap=max_links):
-        verts = q.vertices
-        distinct = len(set(verts))
-        is_long_path = distinct == ell + 2
-        is_cycle = verts[0] == verts[-1] and distinct == ell + 1
-        if not (is_long_path or is_cycle):
-            continue
-        head = _canonical(q.seq[: 2 * ell + 1])
-        tail = _canonical(q.seq[2:])
-        i, j = index[head], index[tail]
-        if i == j:
-            raise ConstructionError(
-                "internal error: loop produced by a loopless source"
-            )
-        candidate_pairs.add((i, j) if i < j else (j, i))
-    edges = sorted(candidate_pairs)
+    edges = sorted((index[head], index[tail]) for head, tail in pairs)
     return LinkGraphResult(
         graph=Multigraph(len(paths), edges),
         mode="path",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .canon import canonical_form
-from .links import Link, iter_links
+from .links import Link, _canonical, iter_links
 from .multigraph import Multigraph, MultigraphError, _check, metrics
 
 
@@ -305,8 +305,6 @@ def count_incidence_pairs(g: Multigraph, ell: int, s: int):
     """
     if not 0 <= s <= ell:
         raise MultigraphError("need 0 <= s <= ell")
-    from .links import _canonical
-
     per_link = {}
     for seq in iter_links(g, ell):
         sublinks = {

@@ -53,12 +53,6 @@ class Link:
     def edge_ids(self) -> tuple:
         return self.seq[1::2]
 
-    def sublink(self, i: int, j: int) -> "Link":
-        """The (j - i)-link at positions i..j of the canonical orientation."""
-        if not 0 <= i <= j <= self.length:
-            raise IndexError(f"sublink bounds {i}..{j} outside 0..{self.length}")
-        return Link(_canonical(self.seq[2 * i: 2 * j + 1]))
-
     def __lt__(self, other):
         return self.seq < other.seq
 
@@ -137,11 +131,6 @@ def count_arcs_by_length(g: Multigraph, max_len: int):
     cur = [1] * (2 * g.m)
     counts.append(2 * g.m)
     adj = g.adjacency
-
-    def head_index(eid, head):
-        u, v = g.edges[eid]
-        return 2 * eid + (0 if head == u else 1)
-
     for _ in range(max_len - 1):
         into = [0] * g.n
         for eid, (u, v) in enumerate(g.edges):
@@ -153,7 +142,9 @@ def count_arcs_by_length(g: Multigraph, max_len: int):
             if not base:
                 continue
             for e, w in adj[v]:
-                nxt[head_index(e, w)] += base - cur[head_index(e, v)]
+                # the arc v -> w along e; k ^ 1 is the arc w -> v
+                k = 2 * e + (w > v)
+                nxt[k] += base - cur[k ^ 1]
         cur = nxt
         counts.append(sum(cur))
     return counts

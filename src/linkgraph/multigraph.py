@@ -183,8 +183,7 @@ class TreeSplit:
     """The two sides of a tree at an edge e with distinguished end u.
 
     ``component_*`` is the component of T - e containing u; ``rest_*`` is the
-    other component.  The rest together with e itself (and hence with u) is
-    exposed via the ``rest_with_edge_*`` properties.
+    other component.
     """
 
     edge: int
@@ -193,14 +192,6 @@ class TreeSplit:
     component_edges: frozenset
     rest_vertices: frozenset
     rest_edges: frozenset
-
-    @property
-    def rest_with_edge_vertices(self) -> frozenset:
-        return self.rest_vertices | {self.anchor}
-
-    @property
-    def rest_with_edge_edges(self) -> frozenset:
-        return self.rest_edges | {self.edge}
 
 
 def _bfs_distances(g: Multigraph, start: int):

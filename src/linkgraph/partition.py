@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import LinkGraphResult, LinkPartitions
+from .construct import LinkGraphResult, LinkPartitions, partitioned_link_graph
 from .links import iter_links
 from .multigraph import Multigraph
 
@@ -120,13 +120,13 @@ def derived_digraph(pg: PartitionedGraph) -> DerivedDigraph:
     return DerivedDigraph(tuple(nodes), tuple(sorted(arcs)))
 
 
-def _scc_sizes(node_count: int, out_arcs) -> list:
-    """Sizes of strongly connected components (iterative Tarjan)."""
+def _strong_components(node_count: int, out_arcs) -> list:
+    """Node lists of the strongly connected components (iterative Tarjan)."""
     index = [-1] * node_count
     low = [0] * node_count
     on_stack = [False] * node_count
     stack = []
-    sizes = []
+    components = []
     counter = 0
     for root in range(node_count):
         if index[root] >= 0:
@@ -155,18 +155,18 @@ def _scc_sizes(node_count: int, out_arcs) -> list:
                 continue
             work.pop()
             if low[v] == index[v]:
-                size = 0
+                members = []
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    size += 1
+                    members.append(w)
                     if w == v:
                         break
-                sizes.append(size)
+                components.append(members)
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-    return sizes
+    return components
 
 
 @dataclass(frozen=True)
@@ -188,23 +188,19 @@ def count_cyclic_components(pg: PartitionedGraph) -> ComponentCensus:
     report = validate(pg)
     if not report.ok:
         raise PartitionError(f"{report.kind}: {report.detail}")
-    g = pg.graph
     digraph = derived_digraph(pg)
-    node_of_vertex = {}
-    for i, (v, _p) in enumerate(digraph.nodes):
-        node_of_vertex.setdefault(v, []).append(i)
-
-    flags = []
-    for comp in g.components():
-        node_ids = sorted(i for v in comp for i in node_of_vertex.get(v, []))
-        remap = {i: k for k, i in enumerate(node_ids)}
-        out_arcs = [[] for _ in node_ids]
-        node_set = set(node_ids)
-        for a, b in digraph.arcs:
-            if a in node_set:
-                out_arcs[remap[a]].append(remap[b])
-        sizes = _scc_sizes(len(node_ids), out_arcs)
-        flags.append(any(s >= 2 for s in sizes))
+    out_arcs = [[] for _ in digraph.nodes]
+    for a, b in digraph.arcs:
+        out_arcs[a].append(b)
+    # no arc leaves a component, so a dicycle lies inside the component of
+    # any vertex it touches
+    on_dicycle = set()
+    for members in _strong_components(len(digraph.nodes), out_arcs):
+        if len(members) >= 2:
+            on_dicycle.update(digraph.nodes[i][0] for i in members)
+    flags = [
+        any(v in on_dicycle for v in comp) for comp in pg.graph.components()
+    ]
 
     dset = degree_set(pg)
     return ComponentCensus(
@@ -237,8 +233,6 @@ def graph_degree_set(g: Multigraph) -> frozenset:
 
 def link_degree_sets(g: Multigraph, ell: int):
     """(D(E_ell), Delta(E_ell), D(G)) for the partitioned ell-link graph."""
-    from .construct import partitioned_link_graph
-
     result, parts = partitioned_link_graph(g, ell)
     dset = degree_set(PartitionedGraph.from_link_graph(result, parts))
     return dset, max(dset, default=0), graph_degree_set(g)

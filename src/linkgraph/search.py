@@ -24,7 +24,13 @@ from .canon import (
     find_isomorphism,
     verify_isomorphism,
 )
-from .construct import DEFAULT_MAX_LINKS, link_graph, link_partitions, path_graph
+from .construct import (
+    DEFAULT_MAX_LINKS,
+    link_graph,
+    link_partitions,
+    path_adjacency_pairs,
+    path_graph,
+)
 from .families import cycle as cycle_graph
 from .families import middle_joined_paths, path as path_graph_family
 from .families import subdivided_star, tailed_path
@@ -174,10 +180,13 @@ def _verified_witness(graph: Multigraph, h: Multigraph) -> dict:
     return witness
 
 
-class _LinkTarget:
-    """Prunes and final acceptance for minimal ell-root search."""
+class _Target:
+    """What both searches share: the target's sizes and the accept tail.
 
-    mode = "link"
+    ``measure(g)`` returns the sizes (unit count, adjacency count) of the
+    graph g builds, or None when they exceed the target's; both counts only
+    grow with g, so that prunes every supergraph of g too.
+    """
 
     def __init__(self, h, ell, bounds, options):
         self.h = h
@@ -185,6 +194,26 @@ class _LinkTarget:
         self.bounds = bounds
         self.options = options
         self.h_cert = canonical_form(h)
+        self.required = (
+            bounds.required_link_count,
+            bounds.required_super_link_count,
+        )
+
+    def _accept(self, g, cert, result, audit):
+        if canonical_form(result.graph) != self.h_cert:
+            return None
+        witness = _verified_witness(result.graph, self.h)
+        audit(g, self.h, self.ell)
+        return RootRecord(graph=g, canonical=cert, witness=witness)
+
+
+class _LinkTarget(_Target):
+    """Prunes and final acceptance for minimal ell-root search."""
+
+    mode = "link"
+
+    def __init__(self, h, ell, bounds, options):
+        super().__init__(h, ell, bounds, options)
         self.h_metrics = metrics(h)
         self.forbid_cycles = (
             self.h_metrics.cyclic_component_count == 0
@@ -196,22 +225,16 @@ class _LinkTarget:
         delta_h = h.max_degree()
         self.max_multiplicity = max(1, delta_h // 2 + 1)
 
-    def cheap_prune(self, g: Multigraph) -> bool:
+    def measure(self, g: Multigraph):
         counts = count_arcs_by_length(g, self.ell + 1)
-        links = counts[self.ell] // 2 if self.ell else g.n
-        super_links = counts[self.ell + 1] // 2
-        return (
-            links > self.bounds.required_link_count
-            or super_links > self.bounds.required_super_link_count
-        )
-
-    def try_accept(self, g: Multigraph, cert: CanonicalForm):
-        counts = count_arcs_by_length(g, self.ell + 1)
-        links = counts[self.ell] // 2 if self.ell else g.n
-        super_links = counts[self.ell + 1] // 2
-        if links != self.bounds.required_link_count:
+        links, super_links = counts[self.ell] // 2, counts[self.ell + 1] // 2
+        required_links, required_super_links = self.required
+        if links > required_links or super_links > required_super_links:
             return None
-        if super_links != self.bounds.required_super_link_count:
+        return links, super_links
+
+    def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
+        if sizes != self.required:
             return None
         gm = metrics(g)
         if gm.cyclic_component_count > self.bounds.max_cyclic_components:
@@ -223,43 +246,7 @@ class _LinkTarget:
         if not is_l_minimal(g, self.ell):
             return None
         result = link_graph(g, self.ell, max_links=self.options.max_links)
-        if canonical_form(result.graph) != self.h_cert:
-            return None
-        witness = _verified_witness(result.graph, self.h)
-        _audit_link_root(g, self.h, self.ell)
-        return RootRecord(graph=g, canonical=cert, witness=witness)
-
-
-def path_adjacency_pairs(g: Multigraph, ell: int, cap: int | None = None):
-    """Edges of the ell-path graph as canonical sequence pairs.
-
-    Walks both conjunction shapes directly ((ell + 1)-paths and
-    (ell + 1)-cycles), so bundle-heavy graphs stay cheap.  Returns None as
-    soon as the count passes ``cap``.
-    """
-    pairs = set()
-    width = 2 * ell + 1
-
-    def add(full):
-        head = full[:width]
-        tail = full[2:]
-        head = min(head, head[::-1])
-        tail = min(tail, tail[::-1])
-        pairs.add((head, tail) if head <= tail else (tail, head))
-        return cap is None or len(pairs) <= cap
-
-    for seq in iter_links(g, ell + 1, distinct=True):
-        if not add(seq):
-            return None
-    for canonical in iter_links(g, ell, distinct=True):
-        for seq in (canonical, canonical[::-1]):
-            v0, vl = seq[0], seq[-1]
-            last_e = seq[-2] if ell >= 1 else -1
-            for e, w in g.adjacency[vl]:
-                if w == v0 and e != last_e:
-                    if not add(seq + (e, v0)):
-                        return None
-    return pairs
+        return self._accept(g, cert, result, _audit_link_root)
 
 
 def is_path_minimal(g: Multigraph, ell: int) -> bool:
@@ -274,7 +261,7 @@ def is_path_minimal(g: Multigraph, ell: int) -> bool:
     return not pending_v and not pending_e
 
 
-class _PathTarget:
+class _PathTarget(_Target):
     """Prunes and final acceptance for minimal ell-path-root search.
 
     No degree or multiplicity caps here: the path-root bounds only cover
@@ -284,29 +271,23 @@ class _PathTarget:
     mode = "path"
 
     def __init__(self, h, ell, bounds, options):
-        self.h = h
-        self.ell = ell
-        self.bounds = bounds
-        self.options = options
-        self.h_cert = canonical_form(h)
+        super().__init__(h, ell, bounds, options)
         self.forbid_cycles = options.trees_only or options.forests_only
         self.max_degree = None
         self.max_multiplicity = None
 
-    def cheap_prune(self, g: Multigraph) -> bool:
-        required = self.bounds.required_link_count
-        if count_paths(g, self.ell, stop_above=required) > required:
-            return True
-        pairs = path_adjacency_pairs(
-            g, self.ell, cap=self.bounds.required_super_link_count
-        )
-        return pairs is None
-
-    def try_accept(self, g: Multigraph, cert: CanonicalForm):
-        if count_paths(g, self.ell) != self.bounds.required_link_count:
+    def measure(self, g: Multigraph):
+        required_paths, required_pairs = self.required
+        paths = count_paths(g, self.ell, stop_above=required_paths)
+        if paths > required_paths:
             return None
-        pairs = path_adjacency_pairs(g, self.ell)
-        if len(pairs) != self.bounds.required_super_link_count:
+        pairs = path_adjacency_pairs(g, self.ell, cap=required_pairs)
+        if pairs is None:
+            return None
+        return paths, len(pairs)
+
+    def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
+        if sizes != self.required:
             return None
         if self.options.connected_only and not g.is_connected():
             return None
@@ -315,11 +296,7 @@ class _PathTarget:
         if not is_path_minimal(g, self.ell):
             return None
         result = path_graph(g, self.ell, max_links=self.options.max_links)
-        if canonical_form(result.graph) != self.h_cert:
-            return None
-        witness = _verified_witness(result.graph, self.h)
-        _audit_path_root(g, self.h, self.ell)
-        return RootRecord(graph=g, canonical=cert, witness=witness)
+        return self._accept(g, cert, result, _audit_path_root)
 
 
 def _canonical_parent(g: Multigraph, labeling):
@@ -354,7 +331,7 @@ def _orderly_search(target, bounds, options) -> tuple:
             cert_cache[key] = hit
         return hit
 
-    def visit(g, cert):
+    def visit(g, cert, sizes):
         stats.explored += 1
         if deadline and time.monotonic() > deadline:
             raise BudgetExceeded(
@@ -362,7 +339,7 @@ def _orderly_search(target, bounds, options) -> tuple:
                 stats,
                 _finish(target, bounds, accepted, stats, start),
             )
-        record = target.try_accept(g, cert)
+        record = target.try_accept(g, cert, sizes)
         if record is not None:
             accepted[cert.data] = record
             stats.accepted += 1
@@ -397,7 +374,8 @@ def _orderly_search(target, bounds, options) -> tuple:
         for u, v in proposals:
             stats.candidates_generated += 1
             child = g.add_edge(u, v)
-            if target.cheap_prune(child):
+            child_sizes = target.measure(child)
+            if child_sizes is None:
                 stats.pruned += 1
                 continue
             child_cert, child_lab = canon_cached(child)
@@ -410,11 +388,11 @@ def _orderly_search(target, bounds, options) -> tuple:
             if parent_cert != cert:
                 stats.parent_rejected += 1
                 continue
-            visit(child, child_cert)
+            visit(child, child_cert, child_sizes)
 
     empty = Multigraph(0)
     try:
-        visit(empty, canonical_form(empty))
+        visit(empty, canonical_form(empty), target.measure(empty))
     finally:
         # visit reaches itself through its closure, a reference cycle that
         # would keep every labelling alive until a cyclic GC pass
@@ -456,43 +434,36 @@ def _trivial_rootset(h, ell, mode, graphs):
     )
 
 
-def minimal_link_roots(
-    h: Multigraph, ell: int, options: SearchOptions | None = None
-) -> RootSet:
-    """All minimal ell-roots of h, exhaustively, up to isomorphism."""
+def _search(target_class, h, ell, options):
     options = options or SearchOptions()
     if ell == 0:
-        return _trivial_rootset(h, 0, "link", [h])
+        return _trivial_rootset(h, 0, target_class.mode, [h])
     if h.n == 0:
-        return _trivial_rootset(h, ell, "link", [Multigraph(0)])
+        return _trivial_rootset(h, ell, target_class.mode, [Multigraph(0)])
     bounds = compute_bounds(h, ell)
     if bounds.max_m > options.max_edges_limit:
         raise SearchRefused(
             f"target needs up to {bounds.max_m} edges; limit is "
             f"{options.max_edges_limit} (raise max_edges_limit to override)"
         )
-    return _orderly_search(_LinkTarget(h, ell, bounds, options), bounds, options)
+    return _orderly_search(target_class(h, ell, bounds, options), bounds, options)
+
+
+def minimal_link_roots(
+    h: Multigraph, ell: int, options: SearchOptions | None = None
+) -> RootSet:
+    """All minimal ell-roots of h, exhaustively, up to isomorphism."""
+    return _search(_LinkTarget, h, ell, options)
 
 
 def minimal_path_roots(
     h: Multigraph, ell: int, options: SearchOptions | None = None
 ) -> RootSet:
     """All minimal ell-path roots of h, exhaustively, up to isomorphism."""
-    options = options or SearchOptions()
     if h.has_parallel_edges():
         # path graphs are simple, so nothing can hit such a target
         return RootSet(h, ell, "path", (), None, SearchStats())
-    if ell == 0:
-        return _trivial_rootset(h, 0, "path", [h])
-    if h.n == 0:
-        return _trivial_rootset(h, ell, "path", [Multigraph(0)])
-    bounds = compute_bounds(h, ell)
-    if bounds.max_m > options.max_edges_limit:
-        raise SearchRefused(
-            f"target needs up to {bounds.max_m} edges; limit is "
-            f"{options.max_edges_limit} (raise max_edges_limit to override)"
-        )
-    return _orderly_search(_PathTarget(h, ell, bounds, options), bounds, options)
+    return _search(_PathTarget, h, ell, options)
 
 
 def cycle_roots(t: int, ell: int) -> RootSet:

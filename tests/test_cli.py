@@ -54,6 +54,18 @@ def test_pathgraph_command(tmp_path, capsys):
     assert out.n == 12 and out.m == 12
 
 
+def test_pathgraph_cap_counts_paths_and_edges(tmp_path, capsys):
+    # the 12-bundle has 1452 3-links but no 2-path, so its 2-path graph is
+    # empty; it has 12 1-paths, and its 1-path graph is K12 with 66 edges
+    path = write_graph(tmp_path, "bundle.mg", Multigraph(2, [(0, 1)] * 12))
+    assert main(["pathgraph", "-l", "2", "--max-links", "100", path]) == 0
+    assert "n 0" in capsys.readouterr().out.splitlines()
+    for cap in (10, 20):
+        assert main(["pathgraph", "-l", "1", "--max-links", str(cap), path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"exceeds the cap of {cap}" in err[0]
+
+
 def test_minimal_positive_and_negative(tmp_path, capsys):
     chord = Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     good = write_graph(tmp_path, "chord.mg", chord)

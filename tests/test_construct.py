@@ -15,7 +15,12 @@ from linkgraph.construct import (
 from linkgraph.links import Link, enumerate_links
 from linkgraph.multigraph import Multigraph, metrics
 
-from util import brute_force_links, random_graph_corpus
+from util import (
+    brute_force_links,
+    brute_force_path_pairs,
+    brute_force_paths,
+    random_graph_corpus,
+)
 
 
 def test_link_graph_of_claw_is_triangle():
@@ -130,6 +135,23 @@ def test_path_graph_of_trees_matches_link_graph():
             continue
         for ell in (1, 2, 3):
             assert is_isomorphic(path_graph(g, ell).graph, link_graph(g, ell).graph)
+
+
+def test_path_graph_matches_brute_force():
+    corpus = random_graph_corpus(seed=131, count=40, max_n=6, max_m=8)
+    assert sum(g.has_parallel_edges() for g in corpus) >= 10
+    for g in corpus:
+        for ell in (0, 1, 2, 3):
+            res = path_graph(g, ell)
+            paths = [p.seq for p in res.vertex_provenance]
+            assert paths == sorted(brute_force_paths(g, ell))
+            assert [(paths[i], paths[j]) for i, j in res.graph.edges] == [
+                (a.seq, b.seq) for a, b in res.edge_provenance
+            ]
+            assert not res.graph.has_parallel_edges()
+            assert {
+                (a.seq, b.seq) for a, b in res.edge_provenance
+            } == brute_force_path_pairs(g, ell), (g, ell)
 
 
 def test_path_graph_parallel_edges_make_two_cycles():

@@ -110,8 +110,8 @@ def test_tree_split_single_edge():
     g = families.path(1)
     split = tree_split(g, 0, 0)
     assert split.component_vertices == {0}
-    assert split.rest_with_edge_vertices == {0, 1}
-    assert split.rest_with_edge_edges == {0}
+    assert split.rest_vertices == {1}
+    assert split.rest_edges == frozenset()
 
 
 def test_tree_split_middle_edge():

@@ -113,6 +113,21 @@ def test_census_counts_sum_to_components():
         assert census.cyclic_count + census.acyclic_count == census.component_count
 
 
+def test_census_flags_each_of_many_components():
+    # bundles and cycles at i % 3 != 0, paths of length i % 5 + 1 otherwise
+    cyclic = [bool(i % 3) for i in range(60)]
+    g = Multigraph(0)
+    for i, is_cycle in enumerate(cyclic):
+        piece = families.cycle(2 + i % 4) if is_cycle else families.path(1 + i % 5)
+        g = g.disjoint_union(piece)
+    census = count_cyclic_components(PartitionedGraph.singletons(g))
+    assert census.cyclic_flags == tuple(cyclic)
+    # a 1-edge path has no 2-link; every longer path gives one tree
+    linked = census_of(g, 2)
+    assert linked.cyclic_count == sum(cyclic)
+    assert linked.acyclic_count == sum(1 for i in range(0, 60, 3) if i % 5)
+
+
 def test_census_rejects_invalid_partition():
     with pytest.raises(PartitionError):
         count_cyclic_components(

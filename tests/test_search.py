@@ -24,11 +24,11 @@ from linkgraph.search import (
     minimal_link_roots,
     minimal_path_roots,
     pair_empty_roots,
-    path_adjacency_pairs,
     tail_threshold,
 )
 
 from util import (
+    brute_force_path_pairs,
     brute_force_paths,
     delete_unit,
     exhaustive_multigraphs,
@@ -226,18 +226,6 @@ def test_exhaustive_multigraph_level_counts():
         assert all(g.degree(v) >= 1 for v in range(g.n))
 
 
-def test_path_adjacency_pairs_match_path_graph():
-    for g in random_graph_corpus(seed=131, count=25, max_n=6, max_m=7):
-        for ell in (1, 2, 3):
-            pairs = path_adjacency_pairs(g, ell)
-            res = path_graph(g, ell)
-            expected = set()
-            for a, b in res.edge_provenance:
-                pa, pb = a.seq, b.seq
-                expected.add((pa, pb) if pa <= pb else (pb, pa))
-            assert pairs == expected
-
-
 def test_is_path_minimal_matches_definitional():
     def definitional(g, ell):
         if g.n == 0:
@@ -252,9 +240,7 @@ def test_is_path_minimal_matches_definitional():
         return True
 
     def _path_profile(g, ell):
-        paths = brute_force_paths(g, ell)
-        pairs = path_adjacency_pairs(g, ell)
-        return (len(paths), len(pairs))
+        return (len(brute_force_paths(g, ell)), len(brute_force_path_pairs(g, ell)))
 
     for g in random_graph_corpus(seed=137, count=30, max_n=6, max_m=6):
         for ell in (1, 2, 3):

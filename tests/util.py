@@ -48,6 +48,20 @@ def brute_force_paths(g: Multigraph, ell: int):
     }
 
 
+def brute_force_path_pairs(g: Multigraph, ell: int):
+    """Edges of the ell-path graph as canonical sequence pairs: every
+    (ell + 1)-link that is a path or a cycle joins its end ell-subsequences."""
+    pairs = set()
+    for seq in brute_force_links(g, ell + 1):
+        verts = seq[0::2]
+        distinct = len(set(verts))
+        if distinct == ell + 2 or (verts[0] == verts[-1] and distinct == ell + 1):
+            head = min(seq[:-2], seq[-3::-1])
+            tail = min(seq[2:], seq[:1:-1])
+            pairs.add((min(head, tail), max(head, tail)))
+    return pairs
+
+
 def brute_force_partitioned_links(pg, s: int):
     """Canonical sequences of the s-links of a partitioned graph: walks whose
     consecutive edges lie in different edge parts, by naive recursion."""
