@@ -14,9 +14,8 @@ from .links import (
     Link,
     LinkCountExceeded,
     _canonical,
-    count_links,
+    count_arcs_by_length,
     enumerate_links,
-    enumerate_paths,
     is_link_of,
     iter_links,
 )
@@ -78,14 +77,17 @@ def link_graph(
     """The ell-link graph of g with provenance maps."""
     if ell < 0:
         raise MultigraphError("ell must be non-negative")
-    total = count_links(g, ell)
+    arcs = count_arcs_by_length(g, ell + 1)
+    total = arcs[ell] // 2 if ell else arcs[0]
     if total > max_links:
         raise ConstructionError(
             f"|L_{ell}(G)| = {total} exceeds the cap of {max_links}"
         )
+    if arcs[ell + 1] // 2 > max_links:
+        raise LinkCountExceeded(arcs[ell + 1] // 2, max_links)
     vertices = enumerate_links(g, ell)
     index = {l.seq: i for i, l in enumerate(vertices)}
-    edge_links = enumerate_links(g, ell + 1, cap=max_links)
+    edge_links = enumerate_links(g, ell + 1)
     edges = []
     for q in edge_links:
         head = _canonical(q.seq[: 2 * ell + 1])
@@ -139,37 +141,34 @@ def partitioned_link_graph(
     return result, link_partitions(result)
 
 
-def path_adjacency_pairs(g: Multigraph, ell: int, cap: int | None = None):
-    """Edges of the ell-path graph as canonical sequence pairs.
+def path_units(g: Multigraph, ell: int, path_cap: int, pair_cap: int):
+    """The ell-paths of g and the edges of its ell-path graph, in one walk.
 
-    Two ell-paths are adjacent when a common (ell + 1)-walk joins them whose
-    unit union is an (ell + 1)-path or an (ell + 1)-cycle.  Both shapes are
-    walked directly, so bundle-heavy graphs stay cheap.  Returns None as
-    soon as the count passes ``cap``.
+    Each ell-path, stepped once more from either end, gives an
+    (ell + 1)-path or closes an (ell + 1)-cycle at its first vertex; that
+    walk joins the path to its other end ell-subsequence.  Returns
+    (paths, pairs) with the paths as canonical sequences in walk order and
+    the edges as sorted pairs of them, or None as soon as the paths pass
+    ``path_cap`` or the pairs pass ``pair_cap``.
     """
+    paths = []
     pairs = set()
-    width = 2 * ell + 1
-
-    def add(full):
-        head = full[:width]
-        tail = full[2:]
-        head = min(head, head[::-1])
-        tail = min(tail, tail[::-1])
-        pairs.add((head, tail) if head <= tail else (tail, head))
-        return cap is None or len(pairs) <= cap
-
-    for seq in iter_links(g, ell + 1, distinct=True):
-        if not add(seq):
+    adj = g.adjacency
+    for seq in iter_links(g, ell, distinct=True):
+        paths.append(seq)
+        if len(paths) > path_cap:
             return None
-    for canonical in iter_links(g, ell, distinct=True):
-        for seq in (canonical, canonical[::-1]):
-            v0, vl = seq[0], seq[-1]
-            last_e = seq[-2] if ell >= 1 else -1
-            for e, w in g.adjacency[vl]:
-                if w == v0 and e != last_e:
-                    if not add(seq + (e, v0)):
-                        return None
-    return pairs
+        for walk in (seq, seq[::-1]) if ell else (seq,):
+            last_e = walk[-2] if ell else -1
+            inner = walk[2::2]  # every vertex but the first
+            for e, w in adj[walk[-1]]:
+                if e == last_e or w in inner:
+                    continue
+                tail = _canonical((walk + (e, w))[2:])
+                pairs.add((seq, tail) if seq <= tail else (tail, seq))
+        if len(pairs) > pair_cap:
+            return None
+    return paths, pairs
 
 
 def path_graph(
@@ -177,15 +176,16 @@ def path_graph(
 ) -> LinkGraphResult:
     """The ell-path graph of g (simple), with provenance maps.
 
-    Edges come from ``path_adjacency_pairs``; ``max_links`` caps both the
+    Paths and edges come from ``path_units``; ``max_links`` caps both the
     ell-paths and the path-graph edges.
     """
     if ell < 0:
         raise MultigraphError("ell must be non-negative")
-    paths = enumerate_paths(g, ell, cap=max_links)
-    pairs = path_adjacency_pairs(g, ell, cap=max_links)
-    if pairs is None:
+    units = path_units(g, ell, max_links, max_links)
+    if units is None:
         raise LinkCountExceeded(max_links + 1, max_links)
+    seqs, pairs = units
+    paths = tuple(Link(s) for s in sorted(seqs))
     index = {p.seq: i for i, p in enumerate(paths)}
     edges = sorted((index[head], index[tail]) for head, tail in pairs)
     return LinkGraphResult(

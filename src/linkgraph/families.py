@@ -77,17 +77,6 @@ def middle_joined_paths(s: int, bridge: int) -> Multigraph:
     return Multigraph(2 * offset + bridge - 1, edges)
 
 
-def cycles_joined_by_path(s: int, bridge: int) -> Multigraph:
-    """Two (s + 1)-cycles connected by a ``bridge``-path."""
-    if s < 1 or bridge < 1:
-        raise MultigraphError("need s >= 1 and bridge length >= 1")
-    c = cycle(s + 1)
-    g = c.disjoint_union(c)
-    chain = [0] + list(range(g.n, g.n + bridge - 1)) + [s + 1]
-    edges = list(g.edges) + [(chain[i], chain[i + 1]) for i in range(bridge)]
-    return Multigraph(g.n + bridge - 1, edges)
-
-
 def tailed_path(ell: int, i: int, tail: int) -> Multigraph:
     """An ell-path with an extra ``tail``-path pasted at vertex i by an end."""
     if not 0 <= i <= ell:

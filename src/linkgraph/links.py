@@ -157,36 +157,14 @@ def count_links(g: Multigraph, ell: int) -> int:
     return count_arcs_by_length(g, ell)[ell] // 2
 
 
-def enumerate_links(g: Multigraph, ell: int, cap: int | None = None):
-    """All ell-links of g, sorted by canonical sequence.
-
-    Raises LinkCountExceeded when the (cheaply precomputed) count exceeds cap.
-    """
-    if cap is not None:
-        total = count_links(g, ell)
-        if total > cap:
-            raise LinkCountExceeded(total, cap)
+def enumerate_links(g: Multigraph, ell: int):
+    """All ell-links of g, sorted by canonical sequence."""
     return tuple(Link(s) for s in sorted(iter_links(g, ell)))
 
 
-def enumerate_paths(g: Multigraph, ell: int, cap: int | None = None):
-    """All ell-paths of g, sorted; cap guards the materialization."""
-    paths = []
-    for seq in iter_links(g, ell, distinct=True):
-        paths.append(seq)
-        if cap is not None and len(paths) > cap:
-            raise LinkCountExceeded(len(paths), cap)
-    return tuple(Link(s) for s in sorted(paths))
-
-
-def count_paths(g: Multigraph, ell: int, stop_above: int | None = None) -> int:
-    """Number of ell-paths; stops early once the count passes ``stop_above``."""
-    count = 0
-    for _ in iter_links(g, ell, distinct=True):
-        count += 1
-        if stop_above is not None and count > stop_above:
-            return count
-    return count
+def enumerate_paths(g: Multigraph, ell: int):
+    """All ell-paths of g, sorted by canonical sequence."""
+    return tuple(Link(s) for s in sorted(iter_links(g, ell, distinct=True)))
 
 
 def link_girth(link: Link) -> float:

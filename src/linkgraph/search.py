@@ -28,14 +28,14 @@ from .construct import (
     DEFAULT_MAX_LINKS,
     link_graph,
     link_partitions,
-    path_adjacency_pairs,
     path_graph,
+    path_units,
 )
 from .families import cycle as cycle_graph
 from .families import middle_joined_paths, path as path_graph_family
 from .families import subdivided_star, tailed_path
 from .incidence import is_l_minimal
-from .links import count_arcs_by_length, count_paths, iter_links
+from .links import count_arcs_by_length, iter_links
 from .multigraph import (
     InternalCheckError,  # raised by the checks below; callers catch it here
     Multigraph,
@@ -147,9 +147,11 @@ class RootSet:
         return iter(self.roots)
 
 
-def _audit_link_root(g: Multigraph, h: Multigraph, ell: int):
-    """Bound lemmas every returned link root must satisfy; hard failure."""
-    result = link_graph(g, ell)
+def _audit_link_root(g: Multigraph, h: Multigraph, ell: int, result):
+    """Bound lemmas every returned link root must satisfy; hard failure.
+
+    ``result`` is the ell-link graph of g.
+    """
     parts = link_partitions(result)
     census = count_cyclic_components(PartitionedGraph.from_link_graph(result, parts))
     _check(g.m <= ell * h.n, "size bound violated")
@@ -164,7 +166,7 @@ def _audit_link_root(g: Multigraph, h: Multigraph, ell: int):
                 _check(g.degree(v) <= cap, "tree interior degree bound violated")
 
 
-def _audit_path_root(g: Multigraph, h: Multigraph, ell: int):
+def _audit_path_root(g: Multigraph, h: Multigraph, ell: int, result):
     c = metrics(h).component_count
     _check(g.m <= ell * h.n, "path-root size bound violated")
     _check(g.n <= ell * h.n + c, "path-root order bound violated")
@@ -203,7 +205,7 @@ class _Target:
         if canonical_form(result.graph) != self.h_cert:
             return None
         witness = _verified_witness(result.graph, self.h)
-        audit(g, self.h, self.ell)
+        audit(g, self.h, self.ell, result)
         return RootRecord(graph=g, canonical=cert, witness=witness)
 
 
@@ -277,14 +279,11 @@ class _PathTarget(_Target):
         self.max_multiplicity = None
 
     def measure(self, g: Multigraph):
-        required_paths, required_pairs = self.required
-        paths = count_paths(g, self.ell, stop_above=required_paths)
-        if paths > required_paths:
+        units = path_units(g, self.ell, *self.required)
+        if units is None:
             return None
-        pairs = path_adjacency_pairs(g, self.ell, cap=required_pairs)
-        if pairs is None:
-            return None
-        return paths, len(pairs)
+        paths, pairs = units
+        return len(paths), len(pairs)
 
     def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
         if sizes != self.required:

@@ -66,6 +66,20 @@ def test_pathgraph_cap_counts_paths_and_edges(tmp_path, capsys):
         assert len(err) == 1 and f"exceeds the cap of {cap}" in err[0]
 
 
+def test_link_cap_messages(tmp_path, capsys):
+    # K4 has 4 0-links, 6 1-links and 12 2-links; the ell-link cap is
+    # checked first, then the (ell + 1)-link cap
+    path = write_graph(tmp_path, "k4.mg", families.complete(4))
+    cases = [
+        (1, 6, "error: enumeration of 12 links exceeds the cap of 6"),
+        (1, 5, "error: |L_1(G)| = 6 exceeds the cap of 5"),
+        (0, 5, "error: enumeration of 6 links exceeds the cap of 5"),
+    ]
+    for ell, cap, message in cases:
+        assert main(["link", "-l", str(ell), "--max-links", str(cap), path]) == 3
+        assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_minimal_positive_and_negative(tmp_path, capsys):
     chord = Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     good = write_graph(tmp_path, "chord.mg", chord)

@@ -8,11 +8,12 @@ from linkgraph.construct import (
     link_partitions,
     partitioned_link_graph,
     path_graph,
+    path_units,
     project_link,
     provenance_lines,
     shunt_reachable,
 )
-from linkgraph.links import Link, enumerate_links
+from linkgraph.links import Link, LinkCountExceeded, enumerate_links
 from linkgraph.multigraph import Multigraph, metrics
 
 from util import (
@@ -149,9 +150,34 @@ def test_path_graph_matches_brute_force():
                 (a.seq, b.seq) for a, b in res.edge_provenance
             ]
             assert not res.graph.has_parallel_edges()
+            pairs = brute_force_path_pairs(g, ell)
             assert {
                 (a.seq, b.seq) for a, b in res.edge_provenance
-            } == brute_force_path_pairs(g, ell), (g, ell)
+            } == pairs, (g, ell)
+            _check_path_caps(g, ell, set(paths), pairs)
+
+
+def _check_path_caps(g, ell, paths, pairs):
+    """Caps just below, at and above the true counts: the walk stops
+    exactly when a count passes its cap, and path_graph raises exactly when
+    max_links is below the larger count."""
+    def near(count):
+        return [c for c in (count - 1, count, count + 1) if c >= 0]
+
+    for path_cap in near(len(paths)):
+        for pair_cap in near(len(pairs)):
+            units = path_units(g, ell, path_cap, pair_cap)
+            if path_cap < len(paths) or pair_cap < len(pairs):
+                assert units is None, (g, ell, path_cap, pair_cap)
+            else:
+                assert (set(units[0]), units[1]) == (paths, pairs)
+    largest = max(len(paths), len(pairs))
+    for cap in near(largest):
+        if cap < largest:
+            with pytest.raises(LinkCountExceeded):
+                path_graph(g, ell, max_links=cap)
+        else:
+            assert path_graph(g, ell, max_links=cap).graph.m == len(pairs)
 
 
 def test_path_graph_parallel_edges_make_two_cycles():

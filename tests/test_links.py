@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkgraph import families
+from linkgraph.construct import ConstructionError, link_graph, path_units
 from linkgraph.links import (
     Link,
     LinkCountExceeded,
     count_arcs_by_length,
     count_links,
-    count_paths,
     enumerate_links,
     enumerate_paths,
     induced_graph,
@@ -68,7 +68,7 @@ def test_walks_longer_than_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        assert count_paths(families.path(320), 300) == 21
+        assert len(enumerate_paths(families.path(320), 300)) == 21
     finally:
         sys.setrecursionlimit(limit)
 
@@ -134,8 +134,20 @@ def test_link_counts_at_0_and_1(g):
 
 
 def test_enumeration_cap():
-    with pytest.raises(LinkCountExceeded):
-        enumerate_links(families.complete(5), 4, cap=10)
+    # K5 has 5 0-links, 10 1-links, 90 3-links and 270 4-links; the cap
+    # applies to the ell-links first, then to the (ell + 1)-links
+    k5 = families.complete(5)
+    cases = [
+        (0, 4, ConstructionError, "|L_0(G)| = 5 exceeds the cap of 4"),
+        (0, 5, LinkCountExceeded, "enumeration of 10 links exceeds the cap of 5"),
+        (3, 10, ConstructionError, "|L_3(G)| = 90 exceeds the cap of 10"),
+        (3, 100, LinkCountExceeded, "enumeration of 270 links exceeds the cap of 100"),
+    ]
+    for ell, cap, error, message in cases:
+        with pytest.raises(error) as info:
+            link_graph(k5, ell, max_links=cap)
+        assert str(info.value) == message
+    assert link_graph(k5, 3, max_links=270).graph.m == 270
 
 
 def test_paths_filter_repeated_vertices():
@@ -145,10 +157,12 @@ def test_paths_filter_repeated_vertices():
     assert enumerate_paths(g, 4) == ()
 
 
-def test_count_paths_early_stop():
+def test_path_units_early_stop():
     g = families.complete(5)
-    assert count_paths(g, 2, stop_above=3) == 4  # stops just past the bound
-    assert count_paths(families.path(4), 4) == 1
+    assert path_units(g, 2, 3, 10**6) is None  # K5 has 30 2-paths
+    assert len(path_units(g, 2, 30, 10**6)[0]) == 30
+    paths, pairs = path_units(families.path(4), 4, 1, 0)
+    assert len(paths) == 1 and pairs == set()
 
 
 def test_link_girth_path_infinite():

@@ -40,3 +40,28 @@ def test_library_imports_only_at_module_level():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def test_every_library_name_is_used():
+    # a top-level function or class that nothing in the repository refers
+    # to is dead API; names inside strings do not count
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in _library_trees()
+        for node in tree.body
+        if isinstance(node, definitions) and node.name not in used
+    ]
+    assert unused == []
