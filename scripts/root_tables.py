@@ -33,7 +33,8 @@ def describe(g):
 def show(label, root_set, reference=None):
     print(f"{label}: {len(root_set)} minimal roots "
           f"({root_set.stats.elapsed_seconds:.2f}s, "
-          f"{root_set.stats.explored} states)")
+          f"{root_set.stats.explored} states, "
+          f"{root_set.stats.orbit_skipped} orbit-skipped)")
     for record in root_set:
         print(f"    {describe(record.graph)}")
     if reference is not None:

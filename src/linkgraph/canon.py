@@ -91,6 +91,31 @@ def _find(parent, i):
     return i
 
 
+def _union(parent, i, j):
+    """Join the classes of i and j; the root stays the least member."""
+    a, b = _find(parent, i), _find(parent, j)
+    if a != b:
+        parent[max(a, b)] = min(a, b)
+
+
+def orbit_roots(items, generators, image):
+    """Per item, the index of the first item in its orbit.
+
+    Orbits are those of the group the generators make, acting through
+    ``image(gamma, item)``; an image outside ``items`` joins nothing, so a
+    set that is not invariant only gets finer orbits.
+    """
+    items = list(items)
+    index = {x: i for i, x in enumerate(items)}
+    parent = list(range(len(items)))
+    for gamma in generators:
+        for i, x in enumerate(items):
+            j = index.get(image(gamma, x), i)
+            if j != i:
+                _union(parent, i, j)
+    return [_find(parent, i) for i in range(len(items))]
+
+
 class _ComponentCanon:
     def __init__(self, verts, wadj, init_colors, edges, is_tree, leaf_budget):
         self.verts = verts
@@ -103,6 +128,7 @@ class _ComponentCanon:
         self.first = None  # (cert, lab, path) of the first leaf
         self.best = None  # the same for the first leaf with the least cert
         self.generators = []  # automorphisms found, as vertex -> vertex dicts
+        self.twin_swaps = set()  # (first, other) of each class taken as twins
         self.pair_weight = {}
         for u in verts:
             for x, w in wadj[u]:
@@ -149,8 +175,11 @@ class _ComponentCanon:
             return self._leaf(colors, path)
         # One branch suffices when the class is provably an orbit: colour
         # refinement is orbit-exact on trees, and mutual twins are swappable.
-        if self.is_tree or self._mutual_twins(target):
+        twins = not self.is_tree and self._mutual_twins(target)
+        if self.is_tree or twins:
             v = target[0]
+            if twins:
+                self.twin_swaps.update((v, u) for u in target[1:])
             return self._descend(self._individualise(colors, v), path + (v,))
         depth = len(path)
         index = {v: i for i, v in enumerate(target)}
@@ -162,9 +191,7 @@ class _ComponentCanon:
             for gamma in self.generators[absorbed:]:
                 if all(gamma[p] == p for p in path):
                     for u in target:
-                        a, b = _find(orbit, index[u]), _find(orbit, index[gamma[u]])
-                        if a != b:
-                            orbit[max(a, b)] = min(a, b)
+                        _union(orbit, index[u], index[gamma[u]])
             absorbed = len(self.generators)
             if _find(orbit, i) != i:
                 continue  # an image of an explored sibling's subtree
@@ -218,6 +245,19 @@ def _pack(n, m, edges, colors) -> bytes:
     return bytes(out)
 
 
+def _component_edges(g: Multigraph):
+    """Each component's vertices with its edges in edge-id order."""
+    comps = g.components()
+    comp_of = [0] * g.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    edges = [[] for _ in comps]
+    for u, v in g.edges:
+        edges[comp_of[u]].append((u, v))
+    return zip(comps, edges)
+
+
 def canonical_labeling(g: Multigraph, colors=None, leaf_budget=_DEFAULT_LEAF_BUDGET):
     """Return (CanonicalForm, labeling) with labeling[v] = canonical id of v.
 
@@ -234,15 +274,8 @@ def canonical_labeling(g: Multigraph, colors=None, leaf_budget=_DEFAULT_LEAF_BUD
         dense = [ranking[c] for c in colors]
 
     wadj = _weighted_adjacency(g)
-    edge_ids_at = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        edge_ids_at[u].append(eid)
-        edge_ids_at[v].append(eid)
-
     results = []
-    for comp in g.components():
-        comp_edge_ids = sorted({e for v in comp for e in edge_ids_at[v]})
-        comp_edges = [g.edges[e] for e in comp_edge_ids]
+    for comp, comp_edges in _component_edges(g):
         is_tree = len(comp_edges) == len(comp) - 1
         init = {v: dense[v] for v in comp}
         cert, lab = _ComponentCanon(
@@ -304,11 +337,50 @@ def verify_isomorphism(g: Multigraph, h: Multigraph, mapping) -> bool:
     return mapped == norm(h.edges)
 
 
+def automorphism_generators(g: Multigraph):
+    """Generators of Aut(g) as vertex-permutation tuples: gamma[v] is the
+    image of v.
+
+    Per component, the automorphisms its canonical search finds with the
+    tree shortcut off, and a transposition for each mutual twin the search
+    took one branch for; across components, a swap of each two neighbours
+    in certificate order whose certificates are equal.  As in nauty, the
+    automorphisms a search finds generate the group it prunes by, so these
+    generate all of Aut(g); the tests check the vertex orbits they give
+    against a brute force.
+    """
+    wadj = _weighted_adjacency(g)
+    identity = list(range(g.n))
+    generators = []
+    labelled = []
+    for comp, comp_edges in _component_edges(g):
+        search = _ComponentCanon(
+            comp, wadj, dict.fromkeys(comp, 0), comp_edges, False, _DEFAULT_LEAF_BUDGET
+        )
+        cert, lab = search.run()
+        swaps = [{v: u, u: v} for v, u in sorted(search.twin_swaps)]
+        for gamma in search.generators + swaps:
+            perm = identity[:]
+            for v, w in gamma.items():
+                perm[v] = w
+            generators.append(tuple(perm))
+        labelled.append((cert, lab))
+    labelled.sort(key=lambda c: c[0])
+    for (cert_a, lab_a), (cert_b, lab_b) in zip(labelled, labelled[1:]):
+        if cert_a == cert_b:
+            vertex_at = {label: w for w, label in lab_b.items()}
+            perm = identity[:]
+            for v, label in lab_a.items():
+                w = vertex_at[label]
+                perm[v], perm[w] = w, v
+            generators.append(tuple(perm))
+    return generators
+
+
 def vertex_orbits(g: Multigraph):
     """Vertex orbits under the automorphism group, as sorted lists."""
-    keys = {}
-    for v in range(g.n):
-        colors = [0] * g.n
-        colors[v] = 1
-        keys.setdefault(canonical_form(g, colors).data, []).append(v)
-    return sorted(keys.values(), key=lambda orbit: orbit[0])
+    roots = orbit_roots(range(g.n), automorphism_generators(g), tuple.__getitem__)
+    orbits = {}
+    for v, root in enumerate(roots):
+        orbits.setdefault(root, []).append(v)
+    return list(orbits.values())

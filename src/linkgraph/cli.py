@@ -259,7 +259,18 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         max_links=args.max_links,
     )
     search = minimal_path_roots if args.path else minimal_link_roots
-    root_set = search(g, args.ell, options)
+    try:
+        root_set = search(g, args.ell, options)
+    except BudgetExceeded as err:
+        # keep what was found, under an index that cannot pass for roots.tsv
+        name = "roots.partial.tsv"
+        write_root_set(err.partial, args.outdir, name)
+        index = os.path.join(args.outdir, name)
+        print(
+            f"error: {err}; {len(err.partial)} roots so far in {index}",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
     written = write_root_set(root_set, args.outdir)
     print(f"{len(root_set)} minimal {'path ' if args.path else ''}roots")
     for name in written:

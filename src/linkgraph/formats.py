@@ -164,8 +164,8 @@ def result_to_dot(result: LinkGraphResult) -> str:
     return to_dot(result.graph, vertex_labels=labels, name="linkgraph")
 
 
-def write_root_set(root_set, out_dir: str) -> list:
-    """One multigraph file per root plus the roots.tsv index; returns paths."""
+def write_root_set(root_set, out_dir: str, index_name: str = "roots.tsv") -> list:
+    """One multigraph file per root plus the index; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     written = []
@@ -186,9 +186,9 @@ def write_root_set(root_set, out_dir: str) -> list:
                 )
             )
         )
-    index = os.path.join(out_dir, "roots.tsv")
+    index = os.path.join(out_dir, index_name)
     with open(index, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("canonical\tn\tm\tkind\twitness\n")
         fh.write("\n".join(rows) + ("\n" if rows else ""))
-    written.append("roots.tsv")
+    written.append(index_name)
     return written

@@ -78,9 +78,29 @@ class Multigraph:
         return len(set(self.edges)) < len(self.edges)
 
     def add_edge(self, u: int, v: int) -> "Multigraph":
-        """New graph with one extra edge appended (vertices grown as needed)."""
+        """New graph with one extra edge appended (vertices grown as needed).
+
+        Only the new edge is checked; the parent's edges and adjacency are
+        extended, not rebuilt.
+        """
         n = max(self.n, u + 1, v + 1)
-        return Multigraph(n, self.edges + ((u, v),))
+        if u == v:
+            raise MultigraphError(f"loop at vertex {u} not allowed")
+        if u < 0 or v < 0:
+            raise MultigraphError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        if v < u:
+            u, v = v, u
+        eid = len(self.edges)
+        adj = list(self._adj)
+        adj.extend(() for _ in range(n - self.n))
+        adj[u] += ((eid, v),)
+        adj[v] += ((eid, u),)
+        child = object.__new__(Multigraph)
+        child.n = n
+        child.edges = self.edges + ((u, v),)
+        child._adj = tuple(adj)
+        child._hash = hash((n, child.edges))
+        return child
 
     def delete_edge(self, eid: int) -> "Multigraph":
         """New graph without edge ``eid``; vertex set unchanged, edge ids shift."""

@@ -3,9 +3,15 @@
 Candidates are grown edge by edge through a canonical-parent search: a child
 is kept only when deleting its canonically-last edge lands back on the parent
 class, so every isomorphism class of loopless multigraphs (without isolated
-vertices) inside the bounds is visited exactly once.  Monotone prunes keep
-the tree small: walk counts never decrease when an edge is added, degrees
-and multiplicities only grow, and cycles never disappear.
+vertices) inside the bounds is visited exactly once.  Pairs in one orbit of
+the parent's automorphism group give isomorphic children, so only the first
+proposal of each orbit is tried (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998); the first proposal giving a child class
+is always tried, so the same children are visited as without the orbits,
+and a generating set that missed part of the group would only cost time.
+Monotone prunes keep the tree small: walk counts never decrease when an
+edge is added, degrees and multiplicities only grow, and cycles never
+disappear.
 
 Non-monotone conditions (cyclic-component count, minimality, the final
 isomorphism) are checked on complete candidates only.
@@ -19,9 +25,11 @@ from dataclasses import dataclass, field
 
 from .canon import (
     CanonicalForm,
+    automorphism_generators,
     canonical_form,
     canonical_labeling,
     find_isomorphism,
+    orbit_roots,
     verify_isomorphism,
 )
 from .construct import (
@@ -105,6 +113,7 @@ class SearchOptions:
 @dataclass
 class SearchStats:
     candidates_generated: int = 0
+    orbit_skipped: int = 0
     pruned: int = 0
     duplicates: int = 0
     parent_rejected: int = 0
@@ -311,6 +320,11 @@ def _canonical_parent(g: Multigraph, labeling):
     return g.delete_edge(best_eid).drop_isolated()
 
 
+def _pair_image(gamma, pair):
+    a, b = gamma[pair[0]], gamma[pair[1]]
+    return (a, b) if a < b else (b, a)
+
+
 def _orderly_search(target, bounds, options) -> tuple:
     deadline = (
         time.monotonic() + options.budget_seconds
@@ -369,8 +383,14 @@ def _orderly_search(target, bounds, options) -> tuple:
         if g.n + 2 <= bounds.max_n:
             proposals.append((g.n, g.n + 1))
 
+        # One proposal per orbit of Aut(g); new vertices are fixed points.
+        generators = [gamma + (g.n, g.n + 1) for gamma in automorphism_generators(g)]
+        firsts = orbit_roots(proposals, generators, _pair_image)
         seen_children = set()
-        for u, v in proposals:
+        for i, (u, v) in enumerate(proposals):
+            if firsts[i] != i:
+                stats.orbit_skipped += 1
+                continue
             stats.candidates_generated += 1
             child = g.add_edge(u, v)
             child_sizes = target.measure(child)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from linkgraph import families
 from linkgraph.canon import (
     CanonBudgetExceeded,
+    automorphism_generators,
     canonical_form,
     canonical_labeling,
     find_isomorphism,
@@ -15,9 +16,15 @@ from linkgraph.canon import (
     vertex_orbits,
 )
 from linkgraph.construct import link_graph
+from linkgraph.links import count_links
 from linkgraph.multigraph import Multigraph
 
-from util import random_graph_corpus
+from util import (
+    brute_force_vertex_orbits,
+    exhaustive_multigraphs,
+    random_graph_corpus,
+    random_tree,
+)
 
 
 def test_k3_equals_c3():
@@ -102,6 +109,67 @@ def test_vertex_orbits_double_star():
     # K_{1,p}-centre, K_{1,q}-centre, p leaves, q leaves: four orbits
     g = families.double_star(3, 2)
     assert len(vertex_orbits(g)) == 4
+
+
+def test_vertex_orbits_match_brute_force():
+    corpus = list(exhaustive_multigraphs(7, 7))
+    corpus += random_graph_corpus(seed=8, count=300, max_n=8, max_m=12)
+    for g in corpus:
+        assert vertex_orbits(g) == brute_force_vertex_orbits(g), g
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(dict(enumerate(perm)))
+
+
+def _forest_of_copies(rng):
+    """Copies of one random tree, next to one other tree."""
+    tree = random_tree(rng, rng.randint(1, 5))
+    g = random_tree(rng, rng.randint(1, 4))
+    for _ in range(rng.randint(2, 4)):
+        g = g.disjoint_union(tree)
+    return g
+
+
+def _twin_class(rng):
+    """Vertex 0 of a random multigraph blown up into mutual twins: each
+    twin copies its edges, and every twin pair gets one multiplicity."""
+    base = families.random_multigraph(rng, 5, 7)
+    twins = rng.randint(2, 4)
+    n = base.n + twins - 1
+    copies = [0] + list(range(base.n, n))
+    edges = []
+    for u, v in base.edges:
+        if u == 0 or v == 0:
+            other = v if u == 0 else u
+            edges += [(t, other) for t in copies]
+        else:
+            edges.append((u, v))
+    mult = rng.randint(0, 2)
+    edges += [(a, b) for a in copies for b in copies if a < b for _ in range(mult)]
+    return Multigraph(n, edges)
+
+
+@given(st.sampled_from(["random", "forest", "twins"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_automorphism_generators_are_automorphisms(kind, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        g = families.random_multigraph(rng, 7, 10)
+    elif kind == "forest":
+        g = _forest_of_copies(rng)
+    else:
+        g = _twin_class(rng)
+    g = _shuffled(g, rng)
+    graphs = [g]
+    for ell in (1, 2):
+        if count_links(g, ell) <= 60 and count_links(g, ell + 1) <= 400:
+            graphs.append(link_graph(g, ell).graph)
+    for h in graphs:
+        for gamma in automorphism_generators(h):
+            assert verify_isomorphism(h, h, dict(enumerate(gamma))), (h, gamma)
 
 
 def test_iso_spots_subtle_trees():

@@ -2,9 +2,11 @@ import pytest
 
 from linkgraph import families
 from linkgraph.canon import is_isomorphic
+from linkgraph import cli
 from linkgraph.cli import main
 from linkgraph.formats import format_multigraph, parse_multigraph, read_multigraph
 from linkgraph.multigraph import Multigraph
+from linkgraph.search import BudgetExceeded, cycle_roots
 
 
 @pytest.fixture
@@ -158,6 +160,33 @@ def test_roots_budget_exit_code(tmp_path, capsys):
          "--budget", "0.0001"]
     )
     assert code == 3
+    assert (tmp_path / "x" / "roots.partial.tsv").exists()
+
+
+def test_roots_budget_keeps_partial_roots(tmp_path, capsys, monkeypatch):
+    # a search that runs out of time after finding both roots of C6
+    found = cycle_roots(6, 2)
+
+    def out_of_time(h, ell, options):
+        raise BudgetExceeded("search budget of 1s exhausted", found.stats, found)
+
+    monkeypatch.setattr(cli, "minimal_link_roots", out_of_time)
+    path = write_graph(tmp_path, "c6.mg", families.cycle(6))
+    outdir = tmp_path / "out"
+    assert main(["roots", "-l", "2", path, "--outdir", str(outdir)]) == 3
+    captured = capsys.readouterr()
+    index = outdir / "roots.partial.tsv"
+    assert captured.err.splitlines() == [
+        f"error: search budget of 1s exhausted; 2 roots so far in {index}"
+    ]
+    assert not (outdir / "roots.tsv").exists()
+    rows = index.read_text().splitlines()
+    assert rows[0] == "canonical\tn\tm\tkind\twitness"
+    assert {row.split("\t")[0] for row in rows[1:]} == {
+        r.canonical.hex() for r in found
+    }
+    for row in rows[1:]:
+        assert (outdir / row.split("\t")[-1]).exists()
 
 
 def test_refusal_exit_code(tmp_path):

@@ -19,6 +19,30 @@ def test_loops_rejected():
         Multigraph(2, [(1, 1)])
 
 
+def test_add_edge_rejects_loops_and_negative_ends():
+    g = Multigraph(3, [(0, 1)])
+    with pytest.raises(MultigraphError, match="loop at vertex 2"):
+        g.add_edge(2, 2)
+    with pytest.raises(MultigraphError, match="loop at vertex 5"):
+        g.add_edge(5, 5)
+    with pytest.raises(MultigraphError, match="outside vertex range"):
+        g.add_edge(-1, 1)
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12))
+def test_add_edge_matches_rebuild(pairs):
+    # extending the parent gives the graph the constructor would build
+    g = Multigraph(0)
+    for u, v in pairs:
+        if u == v:
+            continue
+        child = g.add_edge(u, v)
+        rebuilt = Multigraph(max(g.n, u + 1, v + 1), g.edges + ((u, v),))
+        assert child == rebuilt and hash(child) == hash(rebuilt)
+        assert child.adjacency == rebuilt.adjacency
+        g = child
+
+
 def test_edge_identity_is_positional():
     g = Multigraph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 3

@@ -362,3 +362,48 @@ def test_search_state_freed_without_cyclic_gc():
             assert gc.collect() == 0, search.__name__
     finally:
         gc.enable()
+
+
+# The benchmark's ten root searches with what the search counted before it
+# proposed one edge per orbit of the parent's automorphism group (the
+# seed-commit counters perfbench/workloads.py records): explored, candidates,
+# parent_rejected, accepted, and the canonical forms of the roots, in hex.
+ORBIT_SEARCH_TARGETS = {
+    "R_2(C6)": (families.cycle(6), 2, False, (318, 15490, 723, 2), {
+        "060006000100020103020403050405", "070006000301040205030604060506"}),
+    "R_2(C5)": (families.cycle(5), 2, False, (136, 4805, 241, 1), {
+        "05000500010002010302040304"}),
+    "R_3(C3)": (families.cycle(3), 3, False, (89, 2701, 153, 1), {
+        "030003000100020102"}),
+    "R_5(2K1)": (families.empty_graph(2), 5, False, (243, 6059, 812, 3), {
+        "070006000301060206030404050506",
+        "0800070003010402050306040705070607",
+        "0c000a0002010302040305040506080709080a090b0a0b"}),
+    "R_4(2K1)": (families.empty_graph(2), 4, False, (72, 1283, 147, 2), {
+        "06000500030105020503040405", "0a000800020103020403040507060807090809"}),
+    "Q_3(K2)": (families.path(1), 3, True, (132, 994, 172, 1), {
+        "0500040002010302040304"}),
+    "Q_2(P2)": (families.path(2), 2, True, (59, 589, 68, 2), {
+        "0400040001010202030203", "0500040002010302040304"}),
+    "Q_2(P3)": (families.path(3), 2, True, (250, 4283, 457, 1), {
+        "06000500020103020403050405"}),
+    "Q_2(C4)": (families.cycle(4), 2, True, (265, 4523, 479, 2), {
+        "0400040001000201030203", "04000500010002000201030103"}),
+    "Q_2(C3)": (families.cycle(3), 2, True, (65, 649, 74, 1), {
+        "030003000100020102"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_SEARCH_TARGETS))
+def test_orbit_proposals_keep_the_search(name):
+    # every proposal is tried or skipped for an earlier one in its orbit,
+    # and the same classes are explored, rejected and accepted as before
+    h, ell, path_mode, counters, roots = ORBIT_SEARCH_TARGETS[name]
+    found = (minimal_path_roots if path_mode else minimal_link_roots)(h, ell)
+    stats = found.stats
+    explored, candidates, parent_rejected, accepted = counters
+    assert stats.candidates_generated + stats.orbit_skipped == candidates
+    assert stats.orbit_skipped > 0
+    assert (stats.explored, stats.parent_rejected, stats.accepted) == (
+        explored, parent_rejected, accepted)
+    assert {r.canonical.hex() for r in found} == roots

@@ -87,6 +87,17 @@ def brute_force_partitioned_links(pg, s: int):
     return out
 
 
+def brute_force_vertex_orbits(g: Multigraph):
+    """Vertex orbits under the automorphism group, as sorted lists: two
+    vertices share one iff colouring either alone gives the same form."""
+    keys = {}
+    for v in range(g.n):
+        colors = [0] * g.n
+        colors[v] = 1
+        keys.setdefault(canonical_form(g, colors).data, []).append(v)
+    return sorted(keys.values(), key=lambda orbit: orbit[0])
+
+
 def brute_force_incident_units(g: Multigraph, ell: int):
     """(vertex set, edge set) of units incident to at least one ell-link.
 
