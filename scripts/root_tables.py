@@ -2,8 +2,9 @@
 """Reproduce the minimal-root tables by exhaustive search.
 
 Covers Whitney's pair for the triangle, the cycle-root table, the
-empty-pair family, and (with --slow) the full minimal 3-path-root set of
-the 4-cycle, which the closed forms do not cover.
+empty-pair family, and (with --slow) R_3(C6), the largest link-root search
+here, and the full minimal 3-path-root set of the 4-cycle, which the
+closed forms do not cover.
 
 Usage:
     python3 scripts/root_tables.py [--slow]
@@ -34,7 +35,8 @@ def show(label, root_set, reference=None):
     print(f"{label}: {len(root_set)} minimal roots "
           f"({root_set.stats.elapsed_seconds:.2f}s, "
           f"{root_set.stats.explored} states, "
-          f"{root_set.stats.orbit_skipped} orbit-skipped)")
+          f"{root_set.stats.orbit_skipped} orbit-skipped, "
+          f"{root_set.stats.canon_searches} component searches)")
     for record in root_set:
         print(f"    {describe(record.graph)}")
     if reference is not None:
@@ -45,7 +47,7 @@ def show(label, root_set, reference=None):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--slow", action="store_true",
-                        help="include the exhaustive Q_3(C4) run (~1 min)")
+                        help="include R_3(C6) and the exhaustive Q_3(C4) run")
     args = parser.parse_args()
 
     show("R_1(K3)", minimal_link_roots(families.complete(3), 1))
@@ -68,6 +70,7 @@ def main():
         show(f"Q_{ell}(K2)", minimal_path_roots(families.path(1), ell))
 
     if args.slow:
+        show("R_3(C6)", minimal_link_roots(families.cycle(6), 3), cycle_roots(6, 3))
         started = time.time()
         roots = minimal_path_roots(families.cycle(4), 3)
         print(f"Q_3(C4): {len(roots)} minimal path roots "

@@ -26,6 +26,16 @@ are those of the full tree.  Two shortcuts branch on one vertex only: colour
 refinement is orbit-exact on trees, and mutual twins are swappable.  Highly
 symmetric graphs thus cost a few leaves per orbit of the first path instead
 of about |Aut(G)|; graphs that defeat colour refinement can still take many.
+
+A caller that labels many graphs sharing labelled components, as the root
+search does (a child is its parent plus one edge, with the same vertex ids),
+can pass ``canonical_labeling`` and ``automorphism_generators`` one memo
+dict.  It maps a component's exact key (its sorted vertices, sorted edge
+multiset, initial colours, tree flag and leaf budget) to that component
+search's certificate, labelling, automorphisms and twin swaps.  The key
+holds every input the component search reads, and the search is
+deterministic, so a hit returns what a fresh search would.  Entries keep no
+reference to the graph, and the memo lives as long as its caller keeps it.
 """
 
 from __future__ import annotations
@@ -258,12 +268,48 @@ def _component_edges(g: Multigraph):
     return zip(comps, edges)
 
 
-def canonical_labeling(g: Multigraph, colors=None, leaf_budget=_DEFAULT_LEAF_BUDGET):
+def _component_searches(g: Multigraph, dense, tree_shortcut, leaf_budget, memo):
+    """Per component of g: (comp, (cert, lab, generators, twin_swaps)).
+
+    With a ``memo`` dict, a component whose key is already in it is not
+    searched again; the weighted adjacency is built only on a miss.
+    """
+    wadj = None
+    out = []
+    for comp, comp_edges in _component_edges(g):
+        is_tree = tree_shortcut and len(comp_edges) == len(comp) - 1
+        init = {v: dense[v] for v in comp}
+        if memo is not None:
+            key = (
+                tuple(comp), tuple(sorted(comp_edges)), tuple(init.values()),
+                is_tree, leaf_budget,
+            )
+            hit = memo.get(key)
+            if hit is not None:
+                out.append((comp, hit))
+                continue
+        if wadj is None:
+            wadj = _weighted_adjacency(g)
+        search = _ComponentCanon(comp, wadj, init, comp_edges, is_tree, leaf_budget)
+        cert, lab = search.run()
+        # the search object holds the whole graph's wadj: keep only results
+        found = (cert, lab, search.generators, search.twin_swaps)
+        if memo is not None:
+            memo[key] = found
+        out.append((comp, found))
+    return out
+
+
+def canonical_labeling(
+    g: Multigraph, colors=None, leaf_budget=_DEFAULT_LEAF_BUDGET, memo=None
+):
     """Return (CanonicalForm, labeling) with labeling[v] = canonical id of v.
 
     ``colors`` is an optional per-vertex sequence; only the induced partition
-    (ordered by value) matters.  Raises CanonBudgetExceeded on pathological
-    symmetry and MultigraphError-style ValueError above the size cap.
+    (ordered by value) matters.  ``memo`` is an optional dict of component
+    searches shared between calls (see the module docstring).  Raises
+    CanonBudgetExceeded on pathological symmetry and MultigraphError-style
+    ValueError above the size cap.
     """
     if g.n > _MAX_VERTICES:
         raise ValueError(f"canonical form supports at most {_MAX_VERTICES} vertices")
@@ -273,17 +319,15 @@ def canonical_labeling(g: Multigraph, colors=None, leaf_budget=_DEFAULT_LEAF_BUD
         ranking = {c: i for i, c in enumerate(sorted(set(colors)))}
         dense = [ranking[c] for c in colors]
 
-    wadj = _weighted_adjacency(g)
-    results = []
-    for comp, comp_edges in _component_edges(g):
-        is_tree = len(comp_edges) == len(comp) - 1
-        init = {v: dense[v] for v in comp}
-        cert, lab = _ComponentCanon(
-            comp, wadj, init, comp_edges, is_tree, leaf_budget
-        ).run()
-        results.append((cert, lab, comp))
-
-    results.sort(key=lambda r: r[0])
+    results = sorted(
+        (
+            (cert, lab, comp)
+            for comp, (cert, lab, _, _) in _component_searches(
+                g, dense, True, leaf_budget, memo
+            )
+        ),
+        key=lambda r: r[0],
+    )
     labeling = [0] * g.n
     offset = 0
     all_edges = []
@@ -337,7 +381,7 @@ def verify_isomorphism(g: Multigraph, h: Multigraph, mapping) -> bool:
     return mapped == norm(h.edges)
 
 
-def automorphism_generators(g: Multigraph):
+def automorphism_generators(g: Multigraph, memo=None):
     """Generators of Aut(g) as vertex-permutation tuples: gamma[v] is the
     image of v.
 
@@ -347,19 +391,16 @@ def automorphism_generators(g: Multigraph):
     in certificate order whose certificates are equal.  As in nauty, the
     automorphisms a search finds generate the group it prunes by, so these
     generate all of Aut(g); the tests check the vertex orbits they give
-    against a brute force.
+    against a brute force.  ``memo`` is as for ``canonical_labeling``.
     """
-    wadj = _weighted_adjacency(g)
     identity = list(range(g.n))
     generators = []
     labelled = []
-    for comp, comp_edges in _component_edges(g):
-        search = _ComponentCanon(
-            comp, wadj, dict.fromkeys(comp, 0), comp_edges, False, _DEFAULT_LEAF_BUDGET
-        )
-        cert, lab = search.run()
-        swaps = [{v: u, u: v} for v, u in sorted(search.twin_swaps)]
-        for gamma in search.generators + swaps:
+    for comp, (cert, lab, found, twin_swaps) in _component_searches(
+        g, [0] * g.n, False, _DEFAULT_LEAF_BUDGET, memo
+    ):
+        swaps = [{v: u, u: v} for v, u in sorted(twin_swaps)]
+        for gamma in found + swaps:
             perm = identity[:]
             for v, w in gamma.items():
                 perm[v] = w

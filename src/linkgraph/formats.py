@@ -12,6 +12,7 @@ The multigraph format is bit-exact UTF-8 with LF line endings:
 from __future__ import annotations
 
 import os
+import re
 
 from .construct import LinkGraphResult, LinkPartitions, provenance_lines
 from .incidence import ExpansionRecipe, PasteInstruction
@@ -164,9 +165,20 @@ def result_to_dot(result: LinkGraphResult) -> str:
     return to_dot(result.graph, vertex_labels=labels, name="linkgraph")
 
 
+# the files write_root_set writes, under either index name
+_ROOT_SET_FILE = re.compile(r"root_[0-9]{3,}\.mg|roots\.tsv|roots\.partial\.tsv")
+
+
 def write_root_set(root_set, out_dir: str, index_name: str = "roots.tsv") -> list:
-    """One multigraph file per root plus the index; returns paths."""
+    """One multigraph file per root plus the index; returns paths.
+
+    Root-set files an earlier call left in ``out_dir`` are deleted first, so
+    the directory never mixes two runs; other files are left alone.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):
+        if _ROOT_SET_FILE.fullmatch(name):
+            os.remove(os.path.join(out_dir, name))
     rows = []
     written = []
     for i, record in enumerate(root_set):

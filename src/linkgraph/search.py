@@ -15,6 +15,12 @@ disappear.
 
 Non-monotone conditions (cyclic-component count, minimality, the final
 isomorphism) are checked on complete candidates only.
+
+One search shares a component memo between its canonical labellings and
+automorphism generators (see ``canon``): adding an edge leaves every other
+component of the parent, and its vertex ids, as they were, so most
+component searches would repeat one already run.  The memo is dropped when
+the search returns; ``SearchStats.canon_searches`` is its size.
 """
 
 from __future__ import annotations
@@ -119,6 +125,7 @@ class SearchStats:
     parent_rejected: int = 0
     explored: int = 0
     accepted: int = 0
+    canon_searches: int = 0
     elapsed_seconds: float = 0.0
 
 
@@ -335,12 +342,13 @@ def _orderly_search(target, bounds, options) -> tuple:
     start = time.monotonic()
     accepted = {}
     cert_cache = {}
+    memo = {}
 
     def canon_cached(g):
         key = (g.n, tuple(sorted(g.edges)))
         hit = cert_cache.get(key)
         if hit is None:
-            hit = canonical_labeling(g)
+            hit = canonical_labeling(g, memo=memo)
             cert_cache[key] = hit
         return hit
 
@@ -350,7 +358,7 @@ def _orderly_search(target, bounds, options) -> tuple:
             raise BudgetExceeded(
                 f"search budget of {options.budget_seconds}s exhausted",
                 stats,
-                _finish(target, bounds, accepted, stats, start),
+                _finish(target, bounds, accepted, stats, start, memo),
             )
         record = target.try_accept(g, cert, sizes)
         if record is not None:
@@ -384,7 +392,9 @@ def _orderly_search(target, bounds, options) -> tuple:
             proposals.append((g.n, g.n + 1))
 
         # One proposal per orbit of Aut(g); new vertices are fixed points.
-        generators = [gamma + (g.n, g.n + 1) for gamma in automorphism_generators(g)]
+        generators = [
+            gamma + (g.n, g.n + 1) for gamma in automorphism_generators(g, memo)
+        ]
         firsts = orbit_roots(proposals, generators, _pair_image)
         seen_children = set()
         for i, (u, v) in enumerate(proposals):
@@ -416,11 +426,12 @@ def _orderly_search(target, bounds, options) -> tuple:
         # visit reaches itself through its closure, a reference cycle that
         # would keep every labelling alive until a cyclic GC pass
         del visit
-    return _finish(target, bounds, accepted, stats, start)
+    return _finish(target, bounds, accepted, stats, start, memo)
 
 
-def _finish(target, bounds, accepted, stats, start):
+def _finish(target, bounds, accepted, stats, start, memo):
     stats.elapsed_seconds = time.monotonic() - start
+    stats.canon_searches = len(memo)
     roots = tuple(
         accepted[key] for key in sorted(accepted)
     )

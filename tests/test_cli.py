@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from linkgraph import families
@@ -187,6 +189,37 @@ def test_roots_budget_keeps_partial_roots(tmp_path, capsys, monkeypatch):
     }
     for row in rows[1:]:
         assert (outdir / row.split("\t")[-1]).exists()
+
+
+def test_roots_outdir_holds_only_the_latest_run(tmp_path, capsys, monkeypatch):
+    # complete, then budget-limited with fewer roots, then complete again
+    path = write_graph(tmp_path, "c6.mg", families.cycle(6))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "notes.txt").write_text("kept\n")
+    (outdir / "root_a.mg").write_text("kept\n")
+    args = ["roots", "-l", "2", path, "--outdir", str(outdir)]
+    complete = {"notes.txt", "root_a.mg", "roots.tsv", "root_000.mg", "root_001.mg"}
+
+    assert main(args) == 0
+    assert {p.name for p in outdir.iterdir()} == complete
+
+    found = cycle_roots(6, 2)
+    partial = dataclasses.replace(found, roots=found.roots[:1])
+
+    def out_of_time(h, ell, options):
+        raise BudgetExceeded("search budget of 1s exhausted", partial.stats, partial)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "minimal_link_roots", out_of_time)
+        assert main(args) == 3
+    assert {p.name for p in outdir.iterdir()} == {
+        "notes.txt", "root_a.mg", "roots.partial.tsv", "root_000.mg"
+    }
+
+    assert main(args) == 0
+    assert {p.name for p in outdir.iterdir()} == complete
+    capsys.readouterr()
 
 
 def test_refusal_exit_code(tmp_path):

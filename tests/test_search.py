@@ -349,8 +349,17 @@ def test_forged_witness_caught_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_search_state_freed_without_cyclic_gc():
-    # a finished search leaves no reference cycle holding its labellings
+def test_search_state_freed_without_cyclic_gc(monkeypatch):
+    # a finished search leaves no reference cycle holding its labellings,
+    # and nothing but the spy below holds its component memo
+    memos = []
+    labeling = search_module.canonical_labeling
+
+    def spy(g, memo=None):
+        memos.append(memo)
+        return labeling(g, memo=memo)
+
+    monkeypatch.setattr(search_module, "canonical_labeling", spy)
     gc.collect()
     gc.disable()
     try:
@@ -358,8 +367,14 @@ def test_search_state_freed_without_cyclic_gc():
             (minimal_link_roots, families.cycle(5)),
             (minimal_path_roots, families.cycle(3)),
         ):
+            memos.clear()
             assert len(search(h, 2)) >= 1
             assert gc.collect() == 0, search.__name__
+            memo = memos[0]
+            assert memo and all(m is memo for m in memos)
+            memos.clear()
+            assert sys.getrefcount(memo) == 2, search.__name__  # memo + argument
+            del memo
     finally:
         gc.enable()
 
