@@ -8,6 +8,8 @@ closed forms do not cover.
 
 Usage:
     python3 scripts/root_tables.py [--slow]
+
+Exits 1 when a search disagrees with its closed form.
 """
 
 import argparse
@@ -31,7 +33,8 @@ def describe(g):
     return f"n={g.n:2d} m={g.m:2d} {kind}{extras}"
 
 
-def show(label, root_set, reference=None):
+def show(label, root_set, reference=None) -> bool:
+    """Print a root set; False when it disagrees with ``reference``."""
     print(f"{label}: {len(root_set)} minimal roots "
           f"({root_set.stats.elapsed_seconds:.2f}s, "
           f"{root_set.stats.explored} states, "
@@ -42,6 +45,8 @@ def show(label, root_set, reference=None):
     if reference is not None:
         agree = root_set.canonical_set() == reference.canonical_set()
         print(f"    closed form agrees: {agree}")
+        return agree
+    return True
 
 
 def main():
@@ -50,17 +55,18 @@ def main():
                         help="include R_3(C6) and the exhaustive Q_3(C4) run")
     args = parser.parse_args()
 
+    agree = True
     show("R_1(K3)", minimal_link_roots(families.complete(3), 1))
 
     for t, ell in ((5, 1), (5, 2), (5, 3), (6, 2), (4, 3)):
-        show(
+        agree &= show(
             f"R_{ell}(C{t})",
             minimal_link_roots(families.cycle(t), ell),
             cycle_roots(t, ell),
         )
 
     for ell in range(1, 7):
-        show(
+        agree &= show(
             f"R_{ell}(2K1)",
             minimal_link_roots(families.empty_graph(2), ell),
             pair_empty_roots(ell),
@@ -70,7 +76,9 @@ def main():
         show(f"Q_{ell}(K2)", minimal_path_roots(families.path(1), ell))
 
     if args.slow:
-        show("R_3(C6)", minimal_link_roots(families.cycle(6), 3), cycle_roots(6, 3))
+        agree &= show(
+            "R_3(C6)", minimal_link_roots(families.cycle(6), 3), cycle_roots(6, 3)
+        )
         started = time.time()
         roots = minimal_path_roots(families.cycle(4), 3)
         print(f"Q_3(C4): {len(roots)} minimal path roots "
@@ -78,6 +86,8 @@ def main():
         for record in roots:
             print(f"    {describe(record.graph)}")
 
+    return 0 if agree else 1
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

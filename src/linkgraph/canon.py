@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from .multigraph import Multigraph
 
 _MAX_VERTICES = 255
+_MAX_EDGES = 65_535
 _DEFAULT_LEAF_BUDGET = 1 << 18
 
 
@@ -309,10 +310,12 @@ def canonical_labeling(
     (ordered by value) matters.  ``memo`` is an optional dict of component
     searches shared between calls (see the module docstring).  Raises
     CanonBudgetExceeded on pathological symmetry and MultigraphError-style
-    ValueError above the size cap.
+    ValueError above the size caps.
     """
     if g.n > _MAX_VERTICES:
         raise ValueError(f"canonical form supports at most {_MAX_VERTICES} vertices")
+    if g.m > _MAX_EDGES:
+        raise ValueError(f"canonical form supports at most {_MAX_EDGES} edges")
     if colors is None:
         dense = [0] * g.n
     else:

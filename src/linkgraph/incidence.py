@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .canon import canonical_form
-from .links import Link, _canonical, iter_links
-from .multigraph import Multigraph, MultigraphError, _check, metrics
+from .links import Link, _canonical, _sequence_girth, iter_links
+from .multigraph import Multigraph, MultigraphError, _bfs_distances, _check, metrics
 
 
 class RecipeError(ValueError):
@@ -201,21 +201,9 @@ class ExpansionRecipe:
 def _rooted_height(tree: Multigraph, root: int) -> int:
     if not tree.is_tree():
         raise RecipeError("pasted structures must be trees")
-    dist = {root: 0}
-    frontier = [root]
-    best = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for _, w in tree.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    best = max(best, dist[w])
-                    nxt.append(w)
-        frontier = nxt
-    if len(dist) != tree.n:
-        raise RecipeError("pasted tree is not connected")
-    return best
+    if not 0 <= root < tree.n:
+        raise RecipeError(f"no vertex {root} in the pasted tree")
+    return max(_bfs_distances(tree, root))
 
 
 def expand_class(g: Multigraph, ell: int, recipe: ExpansionRecipe) -> Multigraph:
@@ -325,13 +313,3 @@ def count_incidence_pairs(g: Multigraph, ell: int, s: int):
         _check((count == upper) == (girth > ell - s), "count and girth disagree")
     total = sum(per_link.values())
     return total, per_link
-
-
-def _sequence_girth(items) -> float:
-    last = {}
-    best = float("inf")
-    for i, x in enumerate(items):
-        if x in last:
-            best = min(best, i - last[x])
-        last[x] = i
-    return best

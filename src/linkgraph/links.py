@@ -167,16 +167,20 @@ def enumerate_paths(g: Multigraph, ell: int):
     return tuple(Link(s) for s in sorted(iter_links(g, ell, distinct=True)))
 
 
-def link_girth(link: Link) -> float:
-    """Minimum length of a sub-cycle of the sequence; INFINITE for paths."""
-    verts = link.vertices
+def _sequence_girth(items) -> float:
+    """Least distance between two equal items; INFINITE when all differ."""
     positions = {}
     best = INFINITE
-    for i, v in enumerate(verts):
-        if v in positions:
-            best = min(best, i - positions[v])
-        positions[v] = i
+    for i, x in enumerate(items):
+        if x in positions:
+            best = min(best, i - positions[x])
+        positions[x] = i
     return best
+
+
+def link_girth(link: Link) -> float:
+    """Minimum length of a sub-cycle of the sequence; INFINITE for paths."""
+    return _sequence_girth(link.vertices)
 
 
 def induced_graph(g: Multigraph, link: Link) -> Multigraph:

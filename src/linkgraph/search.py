@@ -1,17 +1,20 @@
 """Exhaustive enumeration of minimal link roots and path roots.
 
-Candidates are grown edge by edge through a canonical-parent search: a child
-is kept only when deleting its canonically-last edge lands back on the parent
-class, so every isomorphism class of loopless multigraphs (without isolated
-vertices) inside the bounds is visited exactly once.  Pairs in one orbit of
-the parent's automorphism group give isomorphic children, so only the first
-proposal of each orbit is tried (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998); the first proposal giving a child class
-is always tried, so the same children are visited as without the orbits,
-and a generating set that missed part of the group would only cost time.
-Monotone prunes keep the tree small: walk counts never decrease when an
-edge is added, degrees and multiplicities only grow, and cycles never
-disappear.
+Candidates are grown edge by edge, depth first, and a child is visited only
+when its certificate is not in the set of classes visited so far, so every
+isomorphism class of loopless multigraphs (without isolated vertices)
+inside the bounds is visited exactly once.  Monotone prunes keep the tree
+small: walk counts never decrease when an edge is added, degrees and
+multiplicities only grow, and cycles never disappear.  So deleting an edge
+of a class inside the bounds (and the vertices it leaves isolated) gives a
+class inside the bounds, whose visit proposes an edge that gives the class
+back; by induction on the edge count every class is reached.  Pairs in one
+orbit of the parent's automorphism group give isomorphic children, so only
+the first proposal of each orbit is tried (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998); the first proposal giving a
+child class is always tried, so the same children are visited as without
+the orbits, and a generating set that missed part of the group would only
+cost time.
 
 Non-monotone conditions (cyclic-component count, minimality, the final
 isomorphism) are checked on complete candidates only.
@@ -122,6 +125,7 @@ class SearchStats:
     orbit_skipped: int = 0
     pruned: int = 0
     duplicates: int = 0
+    # children of a class already visited; perfbench reads this field
     parent_rejected: int = 0
     explored: int = 0
     accepted: int = 0
@@ -314,19 +318,6 @@ class _PathTarget(_Target):
         return self._accept(g, cert, result, _audit_path_root)
 
 
-def _canonical_parent(g: Multigraph, labeling):
-    """Delete the canonically-last edge and drop isolated vertices."""
-    best_key = None
-    best_eid = -1
-    for eid, (u, v) in enumerate(g.edges):
-        a, b = labeling[u], labeling[v]
-        key = (a, b) if a <= b else (b, a)
-        if best_key is None or key > best_key or (key == best_key and eid > best_eid):
-            best_key = key
-            best_eid = eid
-    return g.delete_edge(best_eid).drop_isolated()
-
-
 def _pair_image(gamma, pair):
     a, b = gamma[pair[0]], gamma[pair[1]]
     return (a, b) if a < b else (b, a)
@@ -343,12 +334,13 @@ def _orderly_search(target, bounds, options) -> tuple:
     accepted = {}
     cert_cache = {}
     memo = {}
+    visited = set()
 
     def canon_cached(g):
         key = (g.n, tuple(sorted(g.edges)))
         hit = cert_cache.get(key)
         if hit is None:
-            hit = canonical_labeling(g, memo=memo)
+            hit = canonical_labeling(g, memo=memo)[0]
             cert_cache[key] = hit
         return hit
 
@@ -407,16 +399,15 @@ def _orderly_search(target, bounds, options) -> tuple:
             if child_sizes is None:
                 stats.pruned += 1
                 continue
-            child_cert, child_lab = canon_cached(child)
+            child_cert = canon_cached(child)
             if child_cert.data in seen_children:
                 stats.duplicates += 1
                 continue
             seen_children.add(child_cert.data)
-            parent = _canonical_parent(child, child_lab)
-            parent_cert, _ = canon_cached(parent)
-            if parent_cert != cert:
+            if child_cert.data in visited:
                 stats.parent_rejected += 1
                 continue
+            visited.add(child_cert.data)
             visit(child, child_cert, child_sizes)
 
     empty = Multigraph(0)

@@ -227,14 +227,28 @@ def test_refusal_exit_code(tmp_path):
     assert main(["roots", "-l", "3", path, "--outdir", str(tmp_path / "x")]) == 3
 
 
-def test_internal_error_exit_code(tmp_path, capsys):
-    # 70 000 parallel edges overflow the certificate's edge-count field
-    path = tmp_path / "bundle.mg"
-    path.write_text("mg 1\nn 2\n" + "e 0 1\n" * 70_000, encoding="utf-8")
-    assert main(["canon", str(path)]) == 4
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def crash(g):
+        raise RuntimeError("simulated crash")
+
+    monkeypatch.setattr(cli, "canonical_form", crash)
+    assert main(["canon", write_graph(tmp_path, "k3.mg", families.complete(3))]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_canon_edge_count_limit(tmp_path, capsys):
+    # the certificate stores the edge count in two bytes
+    for edges, code in ((65_535, 0), (70_000, 2)):
+        path = tmp_path / f"bundle{edges}.mg"
+        path.write_text("mg 1\nn 2\n" + "e 0 1\n" * edges, encoding="utf-8")
+        assert main(["canon", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "error: canonical form supports at most 65535 edges\n"
+        else:
+            assert captured.out.startswith("02ffff")
 
 
 def test_canon_command(tmp_path, capsys):

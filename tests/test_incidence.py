@@ -283,6 +283,11 @@ def test_expand_class_rejects_violations():
         expand_class(
             g, 4, ExpansionRecipe(pastes=(PasteInstruction(0, 0, families.star(1)),))
         )
+    for root in (-1, 4):
+        with pytest.raises(RecipeError, match="pasted tree"):
+            expand_class(g, 4, ExpansionRecipe(
+                pastes=(PasteInstruction(0, 2, families.star(3), root=root),)
+            ))
     with pytest.raises(RecipeError):
         # extra component too wide
         expand_class(

@@ -422,3 +422,46 @@ def test_orbit_proposals_keep_the_search(name):
     assert (stats.explored, stats.parent_rejected, stats.accepted) == (
         explored, parent_rejected, accepted)
     assert {r.canonical.hex() for r in found} == roots
+
+
+@pytest.mark.parametrize("h, ell, target_class", [
+    (families.complete(3), 1, search_module._LinkTarget),
+    (families.cycle(3), 2, search_module._LinkTarget),
+    (families.path(2), 2, search_module._LinkTarget),
+    (families.path(2), 2, search_module._PathTarget),
+    (families.path(1), 2, search_module._PathTarget),
+])
+def test_search_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class):
+    # every class that passes the prunes is visited, and only once
+    visited = []
+    try_accept = target_class.try_accept
+
+    def spy(self, g, cert, sizes):
+        visited.append(cert.data)
+        return try_accept(self, g, cert, sizes)
+
+    monkeypatch.setattr(target_class, "try_accept", spy)
+    search = minimal_link_roots if target_class.mode == "link" else minimal_path_roots
+    search(h, ell)
+    assert len(visited) == len(set(visited))
+
+    bounds = compute_bounds(h, ell)
+    target = target_class(h, ell, bounds, SearchOptions())
+
+    def in_bounds(g):
+        if target.max_degree and g.max_degree() > target.max_degree:
+            return False
+        if target.max_multiplicity and any(
+            g.multiplicity(u, v) > target.max_multiplicity for u, v in g.edges
+        ):
+            return False
+        if target.forbid_cycles and not g.is_acyclic():
+            return False
+        return target.measure(g) is not None
+
+    expected = {
+        canonical_form(g).data
+        for g in exhaustive_multigraphs(bounds.max_n, bounds.max_m)
+        if in_bounds(g)
+    }
+    assert set(visited) == expected
