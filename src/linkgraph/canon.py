@@ -36,6 +36,10 @@ search's certificate, labelling, automorphisms and twin swaps.  The key
 holds every input the component search reads, and the search is
 deterministic, so a hit returns what a fresh search would.  Entries keep no
 reference to the graph, and the memo lives as long as its caller keeps it.
+
+Automorphisms are sparse dicts, from the component search through the memo
+to ``orbit_roots``: gamma[v] is the image of each vertex v that gamma
+moves, and a vertex gamma does not list is fixed.
 """
 
 from __future__ import annotations
@@ -109,22 +113,24 @@ def _union(parent, i, j):
         parent[max(a, b)] = min(a, b)
 
 
-def orbit_roots(items, generators, image):
-    """Per item, the index of the first item in its orbit.
+def orbit_roots(pairs, generators):
+    """Per vertex pair (u, v), u < v, the index of the first pair in its orbit.
 
-    Orbits are those of the group the generators make, acting through
-    ``image(gamma, item)``; an image outside ``items`` joins nothing, so a
-    set that is not invariant only gets finer orbits.
+    Orbits are those of the group the sparse generators make; an image
+    outside ``pairs`` joins nothing, so a set that is not invariant only
+    gets finer orbits.
     """
-    items = list(items)
-    index = {x: i for i, x in enumerate(items)}
-    parent = list(range(len(items)))
+    index = {x: i for i, x in enumerate(pairs)}
+    parent = list(range(len(pairs)))
     for gamma in generators:
-        for i, x in enumerate(items):
-            j = index.get(image(gamma, x), i)
+        for i, (u, v) in enumerate(pairs):
+            if u not in gamma and v not in gamma:
+                continue
+            a, b = gamma.get(u, u), gamma.get(v, v)
+            j = index.get((a, b) if a < b else (b, a), i)
             if j != i:
                 _union(parent, i, j)
-    return [_find(parent, i) for i in range(len(items))]
+    return [_find(parent, i) for i in range(len(pairs))]
 
 
 class _ComponentCanon:
@@ -138,7 +144,7 @@ class _ComponentCanon:
         self.leaves = 0
         self.first = None  # (cert, lab, path) of the first leaf
         self.best = None  # the same for the first leaf with the least cert
-        self.generators = []  # automorphisms found, as vertex -> vertex dicts
+        self.generators = []  # automorphisms found, as sparse dicts
         self.twin_swaps = set()  # (first, other) of each class taken as twins
         self.pair_weight = {}
         for u in verts:
@@ -200,9 +206,10 @@ class _ComponentCanon:
         absorbed = 0
         for i, v in enumerate(target):
             for gamma in self.generators[absorbed:]:
-                if all(gamma[p] == p for p in path):
+                if not any(p in gamma for p in path):
                     for u in target:
-                        _union(orbit, index[u], index[gamma[u]])
+                        if u in gamma:
+                            _union(orbit, index[u], index[gamma[u]])
             absorbed = len(self.generators)
             if _find(orbit, i) != i:
                 continue  # an image of an explored sibling's subtree
@@ -235,7 +242,8 @@ class _ComponentCanon:
                 # hence gamma maps ref's path onto this one (of equal length)
                 # and fixes their common prefix.  Jump back to where they part.
                 vertex_at = {label: v for v, label in lab.items()}
-                self.generators.append({v: vertex_at[ref_lab[v]] for v in self.verts})
+                moved = ((v, vertex_at[ref_lab[v]]) for v in self.verts)
+                self.generators.append({v: w for v, w in moved if v != w})
                 return next(d for d, (u, w) in enumerate(zip(path, ref_path)) if u != w)
         if cert < self.best[0]:
             self.best = (cert, lab, path)
@@ -385,8 +393,7 @@ def verify_isomorphism(g: Multigraph, h: Multigraph, mapping) -> bool:
 
 
 def automorphism_generators(g: Multigraph, memo=None):
-    """Generators of Aut(g) as vertex-permutation tuples: gamma[v] is the
-    image of v.
+    """Generators of Aut(g) as sparse dicts (see the module docstring).
 
     Per component, the automorphisms its canonical search finds with the
     tree shortcut off, and a transposition for each mutual twin the search
@@ -394,37 +401,36 @@ def automorphism_generators(g: Multigraph, memo=None):
     in certificate order whose certificates are equal.  As in nauty, the
     automorphisms a search finds generate the group it prunes by, so these
     generate all of Aut(g); the tests check the vertex orbits they give
-    against a brute force.  ``memo`` is as for ``canonical_labeling``.
+    against a brute force.  ``memo`` is as for ``canonical_labeling``.  The
+    returned dicts are shared with the memo and must not be changed.
     """
-    identity = list(range(g.n))
     generators = []
     labelled = []
     for comp, (cert, lab, found, twin_swaps) in _component_searches(
         g, [0] * g.n, False, _DEFAULT_LEAF_BUDGET, memo
     ):
-        swaps = [{v: u, u: v} for v, u in sorted(twin_swaps)]
-        for gamma in found + swaps:
-            perm = identity[:]
-            for v, w in gamma.items():
-                perm[v] = w
-            generators.append(tuple(perm))
+        generators += found
+        generators += [{v: u, u: v} for v, u in sorted(twin_swaps)]
         labelled.append((cert, lab))
     labelled.sort(key=lambda c: c[0])
     for (cert_a, lab_a), (cert_b, lab_b) in zip(labelled, labelled[1:]):
         if cert_a == cert_b:
             vertex_at = {label: w for w, label in lab_b.items()}
-            perm = identity[:]
+            swap = {}
             for v, label in lab_a.items():
                 w = vertex_at[label]
-                perm[v], perm[w] = w, v
-            generators.append(tuple(perm))
+                swap[v], swap[w] = w, v
+            generators.append(swap)
     return generators
 
 
 def vertex_orbits(g: Multigraph):
     """Vertex orbits under the automorphism group, as sorted lists."""
-    roots = orbit_roots(range(g.n), automorphism_generators(g), tuple.__getitem__)
+    parent = list(range(g.n))
+    for gamma in automorphism_generators(g):
+        for v, w in gamma.items():
+            _union(parent, v, w)
     orbits = {}
-    for v, root in enumerate(roots):
-        orbits.setdefault(root, []).append(v)
+    for v in range(g.n):
+        orbits.setdefault(_find(parent, v), []).append(v)
     return list(orbits.values())

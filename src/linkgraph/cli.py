@@ -112,7 +112,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--forests-only", action="store_true")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--budget", type=float, help="time budget in seconds")
-    p.add_argument("--max-links", type=int, default=DEFAULT_MAX_LINKS)
     p.add_argument(
         "--max-edges-limit", type=int, default=SearchOptions.max_edges_limit
     )
@@ -127,9 +126,6 @@ def _check_values(args: argparse.Namespace):
     """The value rules argparse cannot state: ell >= 0, positive caps."""
     if getattr(args, "ell", 0) < 0:
         raise ValueError("ell must be non-negative")
-    budget = getattr(args, "budget", None)
-    if budget is not None and budget <= 0:
-        raise ValueError("budget must be positive")
     if getattr(args, "max_links", DEFAULT_MAX_LINKS) <= 0:
         raise ValueError("max-links must be positive")
 
@@ -249,15 +245,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_roots(args: argparse.Namespace) -> int:
-    g = read_multigraph(args.input)
     options = SearchOptions(
-        trees_only=args.trees_only,
-        forests_only=args.forests_only,
-        connected_only=args.connected_only,
+        forests_only=args.forests_only or args.trees_only,
+        connected_only=args.connected_only or args.trees_only,
         budget_seconds=args.budget,
         max_edges_limit=args.max_edges_limit,
-        max_links=args.max_links,
     )
+    g = read_multigraph(args.input)
     search = minimal_path_roots if args.path else minimal_link_roots
     try:
         root_set = search(g, args.ell, options)

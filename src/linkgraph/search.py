@@ -42,7 +42,6 @@ from .canon import (
     verify_isomorphism,
 )
 from .construct import (
-    DEFAULT_MAX_LINKS,
     link_graph,
     link_partitions,
     path_graph,
@@ -111,12 +110,17 @@ def compute_bounds(h: Multigraph, ell: int) -> SearchBounds:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    trees_only: bool = False
     forests_only: bool = False
     connected_only: bool = False
     budget_seconds: float | None = None
     max_edges_limit: int = 20
-    max_links: int = DEFAULT_MAX_LINKS
+
+    def __post_init__(self):
+        # "not > 0" also rejects NaN
+        if self.budget_seconds is not None and not self.budget_seconds > 0:
+            raise ValueError("budget_seconds must be positive")
+        if self.max_edges_limit < 1:
+            raise ValueError("max_edges_limit must be at least 1")
 
 
 @dataclass
@@ -203,11 +207,14 @@ def _verified_witness(graph: Multigraph, h: Multigraph) -> dict:
 
 
 class _Target:
-    """What both searches share: the target's sizes and the accept tail.
+    """What both searches share: the target's sizes and the accept path.
 
     ``measure(g)`` returns the sizes (unit count, adjacency count) of the
     graph g builds, or None when they exceed the target's; both counts only
-    grow with g, so that prunes every supergraph of g too.
+    grow with g, so that prunes every supergraph of g too.  Each mode also
+    supplies ``complete(g)``, its minimality test on a graph of the right
+    sizes, ``build(g)``, the construction, and ``audit``, the bound lemmas
+    every root it returns must satisfy.
     """
 
     def __init__(self, h, ell, bounds, options):
@@ -221,11 +228,18 @@ class _Target:
             bounds.required_super_link_count,
         )
 
-    def _accept(self, g, cert, result, audit):
+    def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
+        if sizes != self.required:
+            return None
+        if self.options.connected_only and not g.is_connected():
+            return None
+        if not self.complete(g):
+            return None
+        result = self.build(g)
         if canonical_form(result.graph) != self.h_cert:
             return None
         witness = _verified_witness(result.graph, self.h)
-        audit(g, self.h, self.ell, result)
+        self.audit(g, self.h, self.ell, result)
         return RootRecord(graph=g, canonical=cert, witness=witness)
 
 
@@ -233,15 +247,11 @@ class _LinkTarget(_Target):
     """Prunes and final acceptance for minimal ell-root search."""
 
     mode = "link"
+    audit = staticmethod(_audit_link_root)
 
     def __init__(self, h, ell, bounds, options):
         super().__init__(h, ell, bounds, options)
-        self.h_metrics = metrics(h)
-        self.forbid_cycles = (
-            self.h_metrics.cyclic_component_count == 0
-            or options.trees_only
-            or options.forests_only
-        )
+        self.forbid_cycles = bounds.max_cyclic_components == 0 or options.forests_only
         self.max_degree = bounds.max_degree
         # a mu-bundle forces a link of degree 2(mu - 1) in the link graph
         delta_h = h.max_degree()
@@ -255,20 +265,13 @@ class _LinkTarget(_Target):
             return None
         return links, super_links
 
-    def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
-        if sizes != self.required:
-            return None
-        gm = metrics(g)
-        if gm.cyclic_component_count > self.bounds.max_cyclic_components:
-            return None
-        if self.options.connected_only and gm.component_count != 1:
-            return None
-        if self.options.trees_only and not g.is_tree():
-            return None
-        if not is_l_minimal(g, self.ell):
-            return None
-        result = link_graph(g, self.ell, max_links=self.options.max_links)
-        return self._accept(g, cert, result, _audit_link_root)
+    def complete(self, g: Multigraph) -> bool:
+        if metrics(g).cyclic_component_count > self.bounds.max_cyclic_components:
+            return False
+        return is_l_minimal(g, self.ell)
+
+    def build(self, g: Multigraph):
+        return link_graph(g, self.ell)
 
 
 def is_path_minimal(g: Multigraph, ell: int) -> bool:
@@ -291,10 +294,11 @@ class _PathTarget(_Target):
     """
 
     mode = "path"
+    audit = staticmethod(_audit_path_root)
 
     def __init__(self, h, ell, bounds, options):
         super().__init__(h, ell, bounds, options)
-        self.forbid_cycles = options.trees_only or options.forests_only
+        self.forbid_cycles = options.forests_only
         self.max_degree = None
         self.max_multiplicity = None
 
@@ -305,28 +309,17 @@ class _PathTarget(_Target):
         paths, pairs = units
         return len(paths), len(pairs)
 
-    def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
-        if sizes != self.required:
-            return None
-        if self.options.connected_only and not g.is_connected():
-            return None
-        if self.options.trees_only and not g.is_tree():
-            return None
-        if not is_path_minimal(g, self.ell):
-            return None
-        result = path_graph(g, self.ell, max_links=self.options.max_links)
-        return self._accept(g, cert, result, _audit_path_root)
+    def complete(self, g: Multigraph) -> bool:
+        return is_path_minimal(g, self.ell)
 
-
-def _pair_image(gamma, pair):
-    a, b = gamma[pair[0]], gamma[pair[1]]
-    return (a, b) if a < b else (b, a)
+    def build(self, g: Multigraph):
+        return path_graph(g, self.ell)
 
 
 def _orderly_search(target, bounds, options) -> tuple:
     deadline = (
         time.monotonic() + options.budget_seconds
-        if options.budget_seconds
+        if options.budget_seconds is not None
         else None
     )
     stats = SearchStats()
@@ -346,7 +339,7 @@ def _orderly_search(target, bounds, options) -> tuple:
 
     def visit(g, cert, sizes):
         stats.explored += 1
-        if deadline and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(
                 f"search budget of {options.budget_seconds}s exhausted",
                 stats,
@@ -384,10 +377,7 @@ def _orderly_search(target, bounds, options) -> tuple:
             proposals.append((g.n, g.n + 1))
 
         # One proposal per orbit of Aut(g); new vertices are fixed points.
-        generators = [
-            gamma + (g.n, g.n + 1) for gamma in automorphism_generators(g, memo)
-        ]
-        firsts = orbit_roots(proposals, generators, _pair_image)
+        firsts = orbit_roots(proposals, automorphism_generators(g, memo))
         seen_children = set()
         for i, (u, v) in enumerate(proposals):
             if firsts[i] != i:

@@ -155,6 +155,21 @@ def test_roots_path_mode(tmp_path, capsys):
     assert "2 minimal path roots" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "target, ell", [(families.cycle(6), 2), (families.empty_graph(2), 3)]
+)
+def test_roots_trees_only_is_forests_and_connected(tmp_path, capsys, target, ell):
+    path = write_graph(tmp_path, "h.mg", target)
+    written = []
+    for flags in (["--trees-only"], ["--forests-only", "--connected-only"]):
+        outdir = tmp_path / flags[-1]
+        argv = ["roots", "-l", str(ell), path, "--outdir", str(outdir), *flags]
+        assert main(argv) == 0
+        written.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert written[0] == written[1]
+    capsys.readouterr()
+
+
 def test_roots_budget_exit_code(tmp_path, capsys):
     path = write_graph(tmp_path, "c6.mg", families.cycle(6))
     code = main(
@@ -290,14 +305,18 @@ def test_output_determinism(tmp_path):
 
 def test_cliconfig_invariants(tmp_path, capsys):
     path = write_graph(tmp_path, "a.mg", families.cycle(3))
-    rejected = {
-        "ell": ["link", "-l", "-2", path],
-        "budget": ["roots", "-l", "1", path, "--budget", "0"],
-        "max-links": ["analyze", "-l", "1", path, "--max-links", "0"],
-    }
-    for word, argv in rejected.items():
+    rejected = [
+        ("ell", ["link", "-l", "-2", path]),
+        ("budget", ["roots", "-l", "1", path, "--budget", "0"]),
+        ("budget", ["roots", "-l", "1", path, "--budget", "nan"]),
+        ("max_edges_limit", ["roots", "-l", "1", path, "--max-edges-limit", "0"]),
+        ("max-links", ["analyze", "-l", "1", path, "--max-links", "0"]),
+    ]
+    for word, argv in rejected:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert word in err[0]
     assert main(["bogus", path]) == 2
+    # roots has no --max-links: the constructions it runs are sized by H
+    assert main(["roots", "-l", "1", path, "--max-links", "5"]) == 2

@@ -121,7 +121,7 @@ def test_search_is_deterministic():
 
 def test_roots_options_trees_only():
     roots = minimal_link_roots(
-        families.cycle(6), 2, SearchOptions(trees_only=True)
+        families.cycle(6), 2, SearchOptions(forests_only=True, connected_only=True)
     )
     assert roots.canonical_set() == certs([families.subdivided_star(3, 2)])
 
@@ -139,6 +139,17 @@ def test_search_refusal_on_large_bounds():
         minimal_link_roots(families.cycle(12), 3)
     with pytest.raises(SearchRefused):
         minimal_path_roots(families.cycle(12), 3)
+
+
+def test_search_options_rejected():
+    for kwargs in (
+        {"budget_seconds": 0},
+        {"budget_seconds": -1.0},
+        {"budget_seconds": float("nan")},
+        {"max_edges_limit": 0},
+    ):
+        with pytest.raises(ValueError):
+            SearchOptions(**kwargs)
 
 
 def test_search_budget_exceeded():
