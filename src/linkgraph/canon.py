@@ -22,20 +22,23 @@ Automorphisms prune the tree without changing either:
 
 Each skipped subtree is an automorphic image of an explored one and has the
 same set of leaf certificates, so the minimum and the first leaf reaching it
-are those of the full tree.  Two shortcuts branch on one vertex only: colour
-refinement is orbit-exact on trees, and mutual twins are swappable.  Highly
-symmetric graphs thus cost a few leaves per orbit of the first path instead
-of about |Aut(G)|; graphs that defeat colour refinement can still take many.
+are those of the full tree.  One shortcut branches on one vertex only: a
+class of mutual twins is an orbit, and the search records the swap of its
+first member with each other one as an automorphism.  Highly symmetric
+graphs thus cost a few leaves per orbit of the first path instead of about
+|Aut(G)|; graphs that defeat colour refinement can still take many.  Each
+search gives up after ``_LEAF_BUDGET`` leaves.
 
 A caller that labels many graphs sharing labelled components, as the root
 search does (a child is its parent plus one edge, with the same vertex ids),
 can pass ``canonical_labeling`` and ``automorphism_generators`` one memo
 dict.  It maps a component's exact key (its sorted vertices, sorted edge
-multiset, initial colours, tree flag and leaf budget) to that component
-search's certificate, labelling, automorphisms and twin swaps.  The key
-holds every input the component search reads, and the search is
-deterministic, so a hit returns what a fresh search would.  Entries keep no
-reference to the graph, and the memo lives as long as its caller keeps it.
+multiset and initial colours) to that component search's certificate,
+labelling and automorphisms; labelling a graph and asking for its
+generators share one entry per component.  The key holds every input the
+component search reads, and the search is deterministic, so a hit returns
+what a fresh search would.  Entries keep no reference to the graph, and the
+memo lives as long as its caller keeps it.
 
 Automorphisms are sparse dicts, from the component search through the memo
 to ``orbit_roots``: gamma[v] is the image of each vertex v that gamma
@@ -50,7 +53,7 @@ from .multigraph import Multigraph
 
 _MAX_VERTICES = 255
 _MAX_EDGES = 65_535
-_DEFAULT_LEAF_BUDGET = 1 << 18
+_LEAF_BUDGET = 1 << 18
 
 
 class CanonBudgetExceeded(RuntimeError):
@@ -134,18 +137,15 @@ def orbit_roots(pairs, generators):
 
 
 class _ComponentCanon:
-    def __init__(self, verts, wadj, init_colors, edges, is_tree, leaf_budget):
+    def __init__(self, verts, wadj, init_colors, edges):
         self.verts = verts
         self.wadj = wadj
         self.init_colors = init_colors
         self.edges = edges
-        self.is_tree = is_tree
-        self.leaf_budget = leaf_budget
         self.leaves = 0
         self.first = None  # (cert, lab, path) of the first leaf
         self.best = None  # the same for the first leaf with the least cert
         self.generators = []  # automorphisms found, as sparse dicts
-        self.twin_swaps = set()  # (first, other) of each class taken as twins
         self.pair_weight = {}
         for u in verts:
             for x, w in wadj[u]:
@@ -190,13 +190,11 @@ class _ComponentCanon:
                 target = cls
         if target is None:
             return self._leaf(colors, path)
-        # One branch suffices when the class is provably an orbit: colour
-        # refinement is orbit-exact on trees, and mutual twins are swappable.
-        twins = not self.is_tree and self._mutual_twins(target)
-        if self.is_tree or twins:
+        # Mutual twins are swappable, so the class is an orbit: one branch
+        # suffices, and each swap joins the automorphisms found.
+        if self._mutual_twins(target):
             v = target[0]
-            if twins:
-                self.twin_swaps.update((v, u) for u in target[1:])
+            self.generators += ({v: u, u: v} for u in target[1:])
             return self._descend(self._individualise(colors, v), path + (v,))
         depth = len(path)
         index = {v: i for i, v in enumerate(target)}
@@ -220,10 +218,8 @@ class _ComponentCanon:
 
     def _leaf(self, colors, path):
         self.leaves += 1
-        if self.leaves > self.leaf_budget:
-            raise CanonBudgetExceeded(
-                f"canonical search exceeded {self.leaf_budget} leaves"
-            )
+        if self.leaves > _LEAF_BUDGET:
+            raise CanonBudgetExceeded(f"canonical search exceeded {_LEAF_BUDGET} leaves")
         lab = {v: colors[v] for v in self.verts}
         edges = sorted(
             (lab[u], lab[v]) if lab[u] <= lab[v] else (lab[v], lab[u])
@@ -277,8 +273,8 @@ def _component_edges(g: Multigraph):
     return zip(comps, edges)
 
 
-def _component_searches(g: Multigraph, dense, tree_shortcut, leaf_budget, memo):
-    """Per component of g: (comp, (cert, lab, generators, twin_swaps)).
+def _component_searches(g: Multigraph, dense, memo):
+    """Per component of g: (comp, (cert, lab, generators)).
 
     With a ``memo`` dict, a component whose key is already in it is not
     searched again; the weighted adjacency is built only on a miss.
@@ -286,32 +282,26 @@ def _component_searches(g: Multigraph, dense, tree_shortcut, leaf_budget, memo):
     wadj = None
     out = []
     for comp, comp_edges in _component_edges(g):
-        is_tree = tree_shortcut and len(comp_edges) == len(comp) - 1
         init = {v: dense[v] for v in comp}
         if memo is not None:
-            key = (
-                tuple(comp), tuple(sorted(comp_edges)), tuple(init.values()),
-                is_tree, leaf_budget,
-            )
+            key = (tuple(comp), tuple(sorted(comp_edges)), tuple(init.values()))
             hit = memo.get(key)
             if hit is not None:
                 out.append((comp, hit))
                 continue
         if wadj is None:
             wadj = _weighted_adjacency(g)
-        search = _ComponentCanon(comp, wadj, init, comp_edges, is_tree, leaf_budget)
+        search = _ComponentCanon(comp, wadj, init, comp_edges)
         cert, lab = search.run()
         # the search object holds the whole graph's wadj: keep only results
-        found = (cert, lab, search.generators, search.twin_swaps)
+        found = (cert, lab, search.generators)
         if memo is not None:
             memo[key] = found
         out.append((comp, found))
     return out
 
 
-def canonical_labeling(
-    g: Multigraph, colors=None, leaf_budget=_DEFAULT_LEAF_BUDGET, memo=None
-):
+def canonical_labeling(g: Multigraph, colors=None, memo=None):
     """Return (CanonicalForm, labeling) with labeling[v] = canonical id of v.
 
     ``colors`` is an optional per-vertex sequence; only the induced partition
@@ -333,9 +323,7 @@ def canonical_labeling(
     results = sorted(
         (
             (cert, lab, comp)
-            for comp, (cert, lab, _, _) in _component_searches(
-                g, dense, True, leaf_budget, memo
-            )
+            for comp, (cert, lab, _) in _component_searches(g, dense, memo)
         ),
         key=lambda r: r[0],
     )
@@ -395,22 +383,19 @@ def verify_isomorphism(g: Multigraph, h: Multigraph, mapping) -> bool:
 def automorphism_generators(g: Multigraph, memo=None):
     """Generators of Aut(g) as sparse dicts (see the module docstring).
 
-    Per component, the automorphisms its canonical search finds with the
-    tree shortcut off, and a transposition for each mutual twin the search
-    took one branch for; across components, a swap of each two neighbours
-    in certificate order whose certificates are equal.  As in nauty, the
-    automorphisms a search finds generate the group it prunes by, so these
-    generate all of Aut(g); the tests check the vertex orbits they give
-    against a brute force.  ``memo`` is as for ``canonical_labeling``.  The
+    Per component, the automorphisms the canonical search that labels it
+    finds, twin swaps included; across components, a swap of each two
+    neighbours in certificate order whose certificates are equal.  As in
+    nauty, the automorphisms a search finds generate the group it prunes by,
+    so these generate all of Aut(g); the tests check the vertex orbits they
+    give against a brute force.  ``memo`` is as for ``canonical_labeling``,
+    and a component labelled through it is not searched again.  The
     returned dicts are shared with the memo and must not be changed.
     """
     generators = []
     labelled = []
-    for comp, (cert, lab, found, twin_swaps) in _component_searches(
-        g, [0] * g.n, False, _DEFAULT_LEAF_BUDGET, memo
-    ):
+    for comp, (cert, lab, found) in _component_searches(g, [0] * g.n, memo):
         generators += found
-        generators += [{v: u, u: v} for v, u in sorted(twin_swaps)]
         labelled.append((cert, lab))
     labelled.sort(key=lambda c: c[0])
     for (cert_a, lab_a), (cert_b, lab_b) in zip(labelled, labelled[1:]):

@@ -49,7 +49,7 @@ def parse_multigraph(text: str) -> Multigraph:
         if fields[0] == "n":
             if n is not None:
                 raise FormatError("duplicate 'n' line", lineno)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise FormatError("malformed 'n' line", lineno)
             n = int(fields[1])
             continue

@@ -84,7 +84,6 @@ class SearchBounds:
     max_m: int
     max_n: int
     max_degree: int
-    tree_interior_degree_cap: int
     required_link_count: int
     required_super_link_count: int
     max_cyclic_components: int
@@ -101,7 +100,6 @@ def compute_bounds(h: Multigraph, ell: int) -> SearchBounds:
         max_m=ell * h.n,
         max_n=ell * h.n + c,
         max_degree=max(c, h.max_degree()) + 1,
-        tree_interior_degree_cap=c + 1,
         required_link_count=h.n,
         required_super_link_count=h.m,
         max_cyclic_components=m.cyclic_component_count,
@@ -325,17 +323,8 @@ def _orderly_search(target, bounds, options) -> tuple:
     stats = SearchStats()
     start = time.monotonic()
     accepted = {}
-    cert_cache = {}
     memo = {}
     visited = set()
-
-    def canon_cached(g):
-        key = (g.n, tuple(sorted(g.edges)))
-        hit = cert_cache.get(key)
-        if hit is None:
-            hit = canonical_labeling(g, memo=memo)[0]
-            cert_cache[key] = hit
-        return hit
 
     def visit(g, cert, sizes):
         stats.explored += 1
@@ -389,7 +378,7 @@ def _orderly_search(target, bounds, options) -> tuple:
             if child_sizes is None:
                 stats.pruned += 1
                 continue
-            child_cert = canon_cached(child)
+            child_cert = canonical_labeling(child, memo=memo)[0]
             if child_cert.data in seen_children:
                 stats.duplicates += 1
                 continue

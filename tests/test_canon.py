@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkgraph import families
+from linkgraph import canon, families
 from linkgraph.canon import (
     CanonBudgetExceeded,
     automorphism_generators,
@@ -74,8 +74,7 @@ def test_component_order_irrelevant():
 
 
 def test_forest_vs_full_branch_agreement():
-    # forests take the orbit-exact single-branch path; double-check against
-    # relabeled copies with many symmetric components
+    # relabeled copies of a forest with many symmetric components
     rng = random.Random(5)
     base = families.path(1)
     g = base
@@ -318,11 +317,58 @@ def test_golden_certificate_digests(name):
     assert digest == GOLDEN_DIGESTS[name]
 
 
-def test_automorphism_pruning_bounds_leaves():
+# sha256 over form bytes + labeling bytes of every forest of
+# exhaustive_multigraphs(9, 8) with n vertices, each relabelled by one
+# seeded shuffle, first 16 hex digits; recorded while trees still took a
+# one-branch search of their own
+GOLDEN_FOREST_DIGESTS = {
+    0: "709e80c88487a241",
+    2: "ea0a6aabf0897058",
+    3: "c64c09881af6ff5c",
+    4: "dfe429c420cd0c84",
+    5: "ced3f9b4619e5277",
+    6: "0f667d50d625692f",
+    7: "b346661eeb2d3adc",
+    8: "825cc60dbbf2d23e",
+    9: "4bb9416cbaf75984",
+}
+
+
+def test_golden_forest_digests():
+    rng = random.Random(9)
+    digests = {}
+    for g in exhaustive_multigraphs(9, 8):
+        if not g.is_acyclic():
+            continue
+        form, lab = canonical_labeling(_shuffled(g, rng))
+        digests.setdefault(g.n, hashlib.sha256()).update(form.data + bytes(lab))
+    found = {n: d.hexdigest()[:16] for n, d in sorted(digests.items())}
+    assert found == GOLDEN_FOREST_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        families.path(3).disjoint_union(families.star(3)).disjoint_union(families.path(1)),
+        families.path(2).disjoint_union(families.cycle(4)),
+    ],
+    ids=["forest", "tree+cycle"],
+)
+def test_labelling_and_generators_share_the_memo(g):
+    # one component search per component serves both callers
+    memo = {}
+    canonical_labeling(g, memo=memo)
+    automorphism_generators(g, memo)
+    assert len(memo) == len(g.components())
+
+
+def test_automorphism_pruning_bounds_leaves(monkeypatch):
     # Without pruning these need |Aut| leaves: 40320 for L(K8), 400 for C200.
     line_k8 = link_graph(families.complete(8), 1).graph
     for g, budget in ((line_k8, 32), (families.cycle(200), 8)):
-        form, lab = canonical_labeling(g, leaf_budget=budget)
+        monkeypatch.setattr(canon, "_LEAF_BUDGET", budget)
+        form, lab = canonical_labeling(g)
         assert sorted(lab) == list(range(g.n))
+    monkeypatch.setattr(canon, "_LEAF_BUDGET", 2)
     with pytest.raises(CanonBudgetExceeded):
-        canonical_labeling(families.cycle(200), leaf_budget=2)
+        canonical_labeling(families.cycle(200))

@@ -49,7 +49,6 @@ def test_bounds_empty_pair():
     b = compute_bounds(families.empty_graph(2), 3)
     assert (b.max_m, b.max_n) == (6, 8)
     assert b.max_cyclic_components == 0
-    assert b.tree_interior_degree_cap == 3
 
 
 def test_bounds_single_vertex():
