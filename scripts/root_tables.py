@@ -2,9 +2,11 @@
 """Reproduce the minimal-root tables by exhaustive search.
 
 Covers Whitney's pair for the triangle, the cycle-root table, the
-empty-pair family, and (with --slow) R_3(C6), the largest link-root search
-here, and the full minimal 3-path-root set of the 4-cycle, which the
-closed forms do not cover.
+empty-pair family, and (with --slow) the larger link-root searches R_3(C6),
+R_4(C12), R_5(C8), R_6(C8) (the t = 4s, ell >= 2s + 1 branch of the cycle
+table) and R_7(2K1), each checked against its closed form, and the full
+minimal 3-path-root set of the 4-cycle, which the closed forms do not
+cover.
 
 Usage:
     python3 scripts/root_tables.py [--slow]
@@ -20,6 +22,7 @@ sys.path.insert(0, "src")
 
 from linkgraph import families
 from linkgraph.search import (
+    SearchOptions,
     cycle_roots,
     minimal_link_roots,
     minimal_path_roots,
@@ -52,7 +55,8 @@ def show(label, root_set, reference=None) -> bool:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--slow", action="store_true",
-                        help="include R_3(C6) and the exhaustive Q_3(C4) run")
+                        help="include R_3(C6), R_4(C12), R_5(C8), R_6(C8), "
+                             "R_7(2K1) and the exhaustive Q_3(C4) run")
     args = parser.parse_args()
 
     agree = True
@@ -76,8 +80,18 @@ def main():
         show(f"Q_{ell}(K2)", minimal_path_roots(families.path(1), ell))
 
     if args.slow:
+        for t, ell in ((6, 3), (12, 4), (8, 5), (8, 6)):
+            agree &= show(
+                f"R_{ell}(C{t})",
+                minimal_link_roots(
+                    families.cycle(t), ell, SearchOptions(max_edges_limit=t * ell)
+                ),
+                cycle_roots(t, ell),
+            )
         agree &= show(
-            "R_3(C6)", minimal_link_roots(families.cycle(6), 3), cycle_roots(6, 3)
+            "R_7(2K1)",
+            minimal_link_roots(families.empty_graph(2), 7),
+            pair_empty_roots(7),
         )
         started = time.time()
         roots = minimal_path_roots(families.cycle(4), 3)

@@ -16,6 +16,20 @@ child class is always tried, so the same children are visited as without
 the orbits, and a generating set that missed part of the group would only
 cost time.
 
+The ell-link graph and the ell-path graph of a disjoint union are the
+disjoint unions of those of its parts.  For ell >= 1 every vertex of a
+minimal root lies on an ell-link (ell-path), so every component of the
+root adds at least one component to H, and a minimal root has at most
+c(H) components (one under ``connected_only``).  The count is not monotone,
+so the search bounds it by never proposing a new disjoint edge to a graph
+that already has that many components.  Every class inside the bounds
+still has a parent inside them with no more components: if the class has
+a non-bridge edge, delete it; otherwise delete a pendant edge of a
+component with at least two edges; otherwise delete a one-edge component.
+Only the last parent has fewer components, and it is the one whose visit
+proposes the new disjoint edge.  Under ``connected_only`` every graph grown
+is connected, so acceptance needs no connectivity test of its own.
+
 Non-monotone conditions (cyclic-component count, minimality, the final
 isomorphism) are checked on complete candidates only.
 
@@ -219,8 +233,11 @@ class _Target:
         self.h = h
         self.ell = ell
         self.bounds = bounds
-        self.options = options
         self.h_cert = canonical_form(h)
+        # each component of a minimal root adds a component to H
+        self.max_components = (
+            1 if options.connected_only else len(h.components())
+        )
         self.required = (
             bounds.required_link_count,
             bounds.required_super_link_count,
@@ -228,8 +245,6 @@ class _Target:
 
     def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
         if sizes != self.required:
-            return None
-        if self.options.connected_only and not g.is_connected():
             return None
         if not self.complete(g):
             return None
@@ -287,8 +302,11 @@ def is_path_minimal(g: Multigraph, ell: int) -> bool:
 class _PathTarget(_Target):
     """Prunes and final acceptance for minimal ell-path-root search.
 
-    No degree or multiplicity caps here: the path-root bounds only cover
-    order and size, and cyclic roots of acyclic targets do exist.
+    A minimal path root has exactly n(H) ell-paths and every edge lies on
+    one of them; a path holds at most two edges at a vertex and at most one
+    edge of a bundle, so degrees are at most 2 n(H) and multiplicities at
+    most n(H).  There is no cycle prune: cyclic roots of acyclic targets
+    do exist.
     """
 
     mode = "path"
@@ -297,8 +315,8 @@ class _PathTarget(_Target):
     def __init__(self, h, ell, bounds, options):
         super().__init__(h, ell, bounds, options)
         self.forbid_cycles = options.forests_only
-        self.max_degree = None
-        self.max_multiplicity = None
+        self.max_degree = 2 * h.n
+        self.max_multiplicity = h.n
 
     def measure(self, g: Multigraph):
         units = path_units(g, self.ell, *self.required)
@@ -340,8 +358,9 @@ def _orderly_search(target, bounds, options) -> tuple:
             stats.accepted += 1
         if g.m >= bounds.max_m:
             return
+        comps = g.components()
         comp_label = [0] * g.n
-        for i, comp in enumerate(g.components()):
+        for i, comp in enumerate(comps):
             for v in comp:
                 comp_label[v] = i
         degrees = g.degrees()
@@ -350,19 +369,19 @@ def _orderly_search(target, bounds, options) -> tuple:
 
         proposals = []
         for u in range(g.n):
-            if max_deg and degrees[u] + 1 > max_deg:
+            if degrees[u] + 1 > max_deg:
                 continue
             for v in range(u + 1, g.n):
-                if max_deg and degrees[v] + 1 > max_deg:
+                if degrees[v] + 1 > max_deg:
                     continue
                 if target.forbid_cycles and comp_label[u] == comp_label[v]:
                     continue
-                if max_mult and g.multiplicity(u, v) + 1 > max_mult:
+                if g.multiplicity(u, v) + 1 > max_mult:
                     continue
                 proposals.append((u, v))
             if g.n < bounds.max_n:
                 proposals.append((u, g.n))
-        if g.n + 2 <= bounds.max_n:
+        if g.n + 2 <= bounds.max_n and len(comps) < target.max_components:
             proposals.append((g.n, g.n + 1))
 
         # One proposal per orbit of Aut(g); new vertices are fixed points.

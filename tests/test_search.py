@@ -40,6 +40,14 @@ def certs(graphs):
     return {canonical_form(g).data for g in graphs}
 
 
+def two_k2():
+    return families.path(1).disjoint_union(families.path(1))
+
+
+def c3_k1():
+    return families.cycle(3).disjoint_union(Multigraph(1))
+
+
 def test_bounds_whitney():
     b = compute_bounds(families.complete(3), 1)
     assert (b.max_m, b.max_n, b.max_degree) == (3, 4, 3)
@@ -83,8 +91,11 @@ def test_roots_of_null_graph():
 
 
 def test_cycle_roots_closed_form_matches_search():
-    for t, ell in ((3, 1), (4, 2), (6, 2), (4, 3), (5, 2)):
-        via_search = minimal_link_roots(families.cycle(t), ell)
+    # (8, 5) is the t = 4s, ell >= 2s + 1 branch with s = 2
+    for t, ell in ((3, 1), (4, 2), (6, 2), (4, 3), (5, 2), (7, 3), (8, 5)):
+        via_search = minimal_link_roots(
+            families.cycle(t), ell, SearchOptions(max_edges_limit=t * ell)
+        )
         closed = cycle_roots(t, ell)
         assert via_search.canonical_set() == closed.canonical_set(), (t, ell)
 
@@ -205,6 +216,8 @@ def test_pruned_matches_naive_on_tiny_targets():
         (families.empty_graph(2), 2),
         (families.complete(3), 1),
         (families.cycle(2), 2),
+        (two_k2(), 1),
+        (c3_k1(), 1),
     ]
     for h, ell in targets:
         bounds = compute_bounds(h, ell)
@@ -221,6 +234,37 @@ def test_pruned_matches_naive_on_tiny_targets():
                 continue
             naive.add(canonical_form(g).data)
         assert minimal_link_roots(h, ell).canonical_set() == naive
+
+
+def test_path_search_matches_naive_on_tiny_targets():
+    # the path graph and minimality straight from the brute-force paths,
+    # with none of the search's prunes
+    for h, ell in (
+        (families.path(1), 2),
+        (families.path(2), 2),
+        (families.empty_graph(2), 1),
+        (families.empty_graph(2), 2),
+    ):
+        bounds = compute_bounds(h, ell)
+        h_cert = canonical_form(h)
+        naive = set()
+        for g in exhaustive_multigraphs(bounds.max_n, bounds.max_m):
+            paths = sorted(brute_force_paths(g, ell))
+            if len(paths) != h.n:
+                continue
+            pairs = brute_force_path_pairs(g, ell)
+            if len(pairs) != h.m:
+                continue
+            if {v for seq in paths for v in seq[0::2]} != set(range(g.n)):
+                continue
+            if {e for seq in paths for e in seq[1::2]} != set(range(g.m)):
+                continue
+            index = {seq: i for i, seq in enumerate(paths)}
+            built = Multigraph(h.n, [(index[a], index[b]) for a, b in pairs])
+            if canonical_form(built) != h_cert:
+                continue
+            naive.add(canonical_form(g).data)
+        assert minimal_path_roots(h, ell).canonical_set() == naive, (h, ell)
 
 
 def test_exhaustive_multigraph_level_counts():
@@ -389,48 +433,64 @@ def test_search_state_freed_without_cyclic_gc(monkeypatch):
         gc.enable()
 
 
-# The benchmark's ten root searches with what the search counted before it
-# proposed one edge per orbit of the parent's automorphism group (the
-# seed-commit counters perfbench/workloads.py records): explored, candidates,
-# parent_rejected, accepted, and the canonical forms of the roots, in hex.
+# The benchmark's ten root searches.  The first tuple is what the search
+# counted before it proposed one edge per orbit of the parent's automorphism
+# group (the seed-commit counters perfbench/workloads.py records): explored,
+# proposals, parent_rejected, accepted.  The component bound and the path
+# caps have since shrunk the tree, so its explored and proposal counts are
+# upper bounds.  The second tuple is the exact count now: explored,
+# candidates, orbit_skipped, parent_rejected.  Then the canonical forms of
+# the roots, in hex.
 ORBIT_SEARCH_TARGETS = {
-    "R_2(C6)": (families.cycle(6), 2, False, (318, 15490, 723, 2), {
+    "R_2(C6)": (families.cycle(6), 2, False, (318, 15490, 723, 2),
+                (25, 178, 140, 12), {
         "060006000100020103020403050405", "070006000301040205030604060506"}),
-    "R_2(C5)": (families.cycle(5), 2, False, (136, 4805, 241, 1), {
+    "R_2(C5)": (families.cycle(5), 2, False, (136, 4805, 241, 1),
+                (17, 95, 77, 6), {
         "05000500010002010302040304"}),
-    "R_3(C3)": (families.cycle(3), 3, False, (89, 2701, 153, 1), {
+    "R_3(C3)": (families.cycle(3), 3, False, (89, 2701, 153, 1),
+                (11, 57, 38, 2), {
         "030003000100020102"}),
-    "R_5(2K1)": (families.empty_graph(2), 5, False, (243, 6059, 812, 3), {
+    "R_5(2K1)": (families.empty_graph(2), 5, False, (243, 6059, 812, 3),
+                 (142, 883, 1157, 279), {
         "070006000301060206030404050506",
         "0800070003010402050306040705070607",
         "0c000a0002010302040305040506080709080a090b0a0b"}),
-    "R_4(2K1)": (families.empty_graph(2), 4, False, (72, 1283, 147, 2), {
+    "R_4(2K1)": (families.empty_graph(2), 4, False, (72, 1283, 147, 2),
+                 (46, 210, 290, 61), {
         "06000500030105020503040405", "0a000800020103020403040507060807090809"}),
-    "Q_3(K2)": (families.path(1), 3, True, (132, 994, 172, 1), {
+    "Q_3(K2)": (families.path(1), 3, True, (132, 994, 172, 1),
+                (19, 79, 49, 9), {
         "0500040002010302040304"}),
-    "Q_2(P2)": (families.path(2), 2, True, (59, 589, 68, 2), {
+    "Q_2(P2)": (families.path(2), 2, True, (59, 589, 68, 2),
+                (11, 50, 21, 3), {
         "0400040001010202030203", "0500040002010302040304"}),
-    "Q_2(P3)": (families.path(3), 2, True, (250, 4283, 457, 1), {
+    "Q_2(P3)": (families.path(3), 2, True, (250, 4283, 457, 1),
+                (20, 118, 45, 8), {
         "06000500020103020403050405"}),
-    "Q_2(C4)": (families.cycle(4), 2, True, (265, 4523, 479, 2), {
+    "Q_2(C4)": (families.cycle(4), 2, True, (265, 4523, 479, 2),
+                (22, 127, 56, 8), {
         "0400040001000201030203", "04000500010002000201030103"}),
-    "Q_2(C3)": (families.cycle(3), 2, True, (65, 649, 74, 1), {
+    "Q_2(C3)": (families.cycle(3), 2, True, (65, 649, 74, 1),
+                (12, 52, 25, 3), {
         "030003000100020102"}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORBIT_SEARCH_TARGETS))
 def test_orbit_proposals_keep_the_search(name):
-    # every proposal is tried or skipped for an earlier one in its orbit,
-    # and the same classes are explored, rejected and accepted as before
-    h, ell, path_mode, counters, roots = ORBIT_SEARCH_TARGETS[name]
+    # the tree is no larger than at the seed commit, orbit pruning still
+    # skips proposals, and the same roots are accepted
+    h, ell, path_mode, seed, counters, roots = ORBIT_SEARCH_TARGETS[name]
     found = (minimal_path_roots if path_mode else minimal_link_roots)(h, ell)
     stats = found.stats
-    explored, candidates, parent_rejected, accepted = counters
-    assert stats.candidates_generated + stats.orbit_skipped == candidates
+    seed_explored, seed_proposals, _, accepted = seed
+    assert stats.explored <= seed_explored
+    assert stats.candidates_generated + stats.orbit_skipped <= seed_proposals
     assert stats.orbit_skipped > 0
-    assert (stats.explored, stats.parent_rejected, stats.accepted) == (
-        explored, parent_rejected, accepted)
+    assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
+            stats.parent_rejected) == counters
+    assert stats.accepted == accepted
     assert {r.canonical.hex() for r in found} == roots
 
 
@@ -440,8 +500,26 @@ def test_orbit_proposals_keep_the_search(name):
     (families.path(2), 2, search_module._LinkTarget),
     (families.path(2), 2, search_module._PathTarget),
     (families.path(1), 2, search_module._PathTarget),
+    (families.empty_graph(2), 2, search_module._LinkTarget),
+    (families.empty_graph(2), 3, search_module._LinkTarget),
+    (two_k2(), 1, search_module._LinkTarget),
+    (c3_k1(), 1, search_module._LinkTarget),
+    (families.empty_graph(2), 2, search_module._PathTarget),
 ])
 def test_search_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class):
+    assert_visits_each_class_in_bounds_once(
+        monkeypatch, h, ell, target_class, SearchOptions())
+
+
+@pytest.mark.parametrize("target_class", [
+    search_module._LinkTarget, search_module._PathTarget])
+def test_connected_search_visits_each_class_in_bounds_once(monkeypatch, target_class):
+    assert_visits_each_class_in_bounds_once(
+        monkeypatch, families.empty_graph(2), 2, target_class,
+        SearchOptions(connected_only=True))
+
+
+def assert_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class, options):
     # every class that passes the prunes is visited, and only once
     visited = []
     try_accept = target_class.try_accept
@@ -452,18 +530,18 @@ def test_search_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_cla
 
     monkeypatch.setattr(target_class, "try_accept", spy)
     search = minimal_link_roots if target_class.mode == "link" else minimal_path_roots
-    search(h, ell)
+    search(h, ell, options)
     assert len(visited) == len(set(visited))
 
     bounds = compute_bounds(h, ell)
-    target = target_class(h, ell, bounds, SearchOptions())
+    target = target_class(h, ell, bounds, options)
 
     def in_bounds(g):
-        if target.max_degree and g.max_degree() > target.max_degree:
+        if len(g.components()) > target.max_components:
             return False
-        if target.max_multiplicity and any(
-            g.multiplicity(u, v) > target.max_multiplicity for u, v in g.edges
-        ):
+        if g.max_degree() > target.max_degree:
+            return False
+        if any(g.multiplicity(u, v) > target.max_multiplicity for u, v in g.edges):
             return False
         if target.forbid_cycles and not g.is_acyclic():
             return False
