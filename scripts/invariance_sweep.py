@@ -8,9 +8,13 @@
 
 Usage:
     python3 scripts/invariance_sweep.py [--count 100] [--seed 7]
+
+Exits 1, printing the graph, when an invariant fails; the checks are plain
+tests, not asserts, so they also run under ``python -O``.
 """
 
 import argparse
+import heapq
 import random
 import sys
 
@@ -52,8 +56,6 @@ def random_tree(rng, n):
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
@@ -65,6 +67,14 @@ def random_tree(rng, n):
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return Multigraph(n, edges)
+
+
+def check(held, what, g, **where):
+    """Exit 1, printing the graph and ``where``, unless ``held``."""
+    if not held:
+        at = " ".join(f"{key}={value}" for key, value in where.items())
+        print(f"{what} failed: n={g.n} edges={list(g.edges)} {at}")
+        sys.exit(1)
 
 
 def main():
@@ -82,16 +92,18 @@ def main():
             result, parts = partitioned_link_graph(g, ell)
             pg = PartitionedGraph.from_link_graph(result, parts)
             census = count_cyclic_components(pg)
-            assert census.cyclic_count == o, (g, ell)
+            check(census.cyclic_count == o, "cyclic-component invariance", g, ell=ell)
             if g.is_acyclic():
-                assert census.acyclic_count == len(result.graph.components())
+                check(census.acyclic_count == len(result.graph.components()),
+                      "acyclic census", g, ell=ell)
             census_checks += 1
             for s in (1, 2):
                 projected = {
                     project_link(result, r).link.seq
                     for r in enumerate_links(g, ell + s)
                 }
-                assert projected == partitioned_links(pg, s), (g, ell, s)
+                check(projected == partitioned_links(pg, s),
+                      "projection completeness", g, ell=ell, s=s)
                 projection_checks += 1
     for _ in range(args.count):
         g = random_tree(rng, rng.randint(3, 9))
@@ -101,9 +113,9 @@ def main():
             result, parts = partitioned_link_graph(g, ell)
             dset = degree_set(PartitionedGraph.from_link_graph(result, parts))
             if ell == 1:
-                assert dset == graph_degree_set(g)
+                check(dset == graph_degree_set(g), "degree set at ell = 1", g)
             if previous is not None:
-                assert dset <= previous
+                check(dset <= previous, "degree-set chain", g, ell=ell)
             previous = dset
             chain_checks += 1
 

@@ -1,20 +1,20 @@
 """Exhaustive enumeration of minimal link roots and path roots.
 
-Candidates are grown edge by edge, depth first, and a child is visited only
-when its certificate is not in the set of classes visited so far, so every
-isomorphism class of loopless multigraphs (without isolated vertices)
-inside the bounds is visited exactly once.  Monotone prunes keep the tree
-small: walk counts never decrease when an edge is added, degrees and
-multiplicities only grow, and cycles never disappear.  So deleting an edge
-of a class inside the bounds (and the vertices it leaves isolated) gives a
-class inside the bounds, whose visit proposes an edge that gives the class
-back; by induction on the edge count every class is reached.  Pairs in one
-orbit of the parent's automorphism group give isomorphic children, so only
-the first proposal of each orbit is tried (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998); the first proposal giving a
-child class is always tried, so the same children are visited as without
-the orbits, and a generating set that missed part of the group would only
-cost time.
+Candidates are grown level by level: level m maps the certificate of each
+isomorphism class of loopless multigraphs (without isolated vertices) with
+m edges inside the bounds to one graph of the class, and level m + 1 holds
+the children of level m.  Monotone prunes keep the tree small: walk counts
+never decrease when an edge is added, degrees and multiplicities only grow,
+and cycles never disappear.  So deleting an edge of a class inside the
+bounds (and the vertices it leaves isolated) gives a class inside the
+bounds one level down, whose expansion gives the class back; by induction
+on the level every class is reached, and a search stopped on level L has
+tried every class with fewer than L edges.  Pairs in one orbit of the
+parent's automorphism group give isomorphic children, so only the first
+proposal of each orbit is tried (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998); the first proposal giving a child class
+is always tried, so the same children are reached as without the orbits,
+and a generating set that missed part of the group would only cost time.
 
 The ell-link graph and the ell-path graph of a disjoint union are the
 disjoint unions of those of its parts.  For ell >= 1 every vertex of a
@@ -26,7 +26,7 @@ that already has that many components.  Every class inside the bounds
 still has a parent inside them with no more components: if the class has
 a non-bridge edge, delete it; otherwise delete a pendant edge of a
 component with at least two edges; otherwise delete a one-edge component.
-Only the last parent has fewer components, and it is the one whose visit
+Only the last parent has fewer components, and it is the one whose expansion
 proposes the new disjoint edge.  Under ``connected_only`` every graph grown
 is connected, so acceptance needs no connectivity test of its own.
 
@@ -140,8 +140,9 @@ class SearchStats:
     candidates_generated: int = 0
     orbit_skipped: int = 0
     pruned: int = 0
+    # children whose class the same parent already produced
     duplicates: int = 0
-    # children of a class already visited; perfbench reads this field
+    # children whose class an earlier parent on the level made; perfbench reads both
     parent_rejected: int = 0
     explored: int = 0
     accepted: int = 0
@@ -332,6 +333,34 @@ class _PathTarget(_Target):
         return path_graph(g, self.ell)
 
 
+def _proposals(g, target, bounds) -> list:
+    """The pairs (u, v) for which g + uv stays inside the target's caps."""
+    comps = g.components()
+    comp_label = [0] * g.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_label[v] = i
+    degrees = g.degrees()
+    max_deg = target.max_degree
+    proposals = []
+    for u in range(g.n):
+        if degrees[u] + 1 > max_deg:
+            continue
+        for v in range(u + 1, g.n):
+            if degrees[v] + 1 > max_deg:
+                continue
+            if target.forbid_cycles and comp_label[u] == comp_label[v]:
+                continue
+            if g.multiplicity(u, v) + 1 > target.max_multiplicity:
+                continue
+            proposals.append((u, v))
+        if g.n < bounds.max_n:
+            proposals.append((u, g.n))
+    if g.n + 2 <= bounds.max_n and len(comps) < target.max_components:
+        proposals.append((g.n, g.n + 1))
+    return proposals
+
+
 def _orderly_search(target, bounds, options) -> tuple:
     deadline = (
         time.monotonic() + options.budget_seconds
@@ -342,79 +371,51 @@ def _orderly_search(target, bounds, options) -> tuple:
     start = time.monotonic()
     accepted = {}
     memo = {}
-    visited = set()
-
-    def visit(g, cert, sizes):
-        stats.explored += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                f"search budget of {options.budget_seconds}s exhausted",
-                stats,
-                _finish(target, bounds, accepted, stats, start, memo),
-            )
-        record = target.try_accept(g, cert, sizes)
-        if record is not None:
-            accepted[cert.data] = record
-            stats.accepted += 1
-        if g.m >= bounds.max_m:
-            return
-        comps = g.components()
-        comp_label = [0] * g.n
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_label[v] = i
-        degrees = g.degrees()
-        max_deg = target.max_degree
-        max_mult = target.max_multiplicity
-
-        proposals = []
-        for u in range(g.n):
-            if degrees[u] + 1 > max_deg:
-                continue
-            for v in range(u + 1, g.n):
-                if degrees[v] + 1 > max_deg:
-                    continue
-                if target.forbid_cycles and comp_label[u] == comp_label[v]:
-                    continue
-                if g.multiplicity(u, v) + 1 > max_mult:
-                    continue
-                proposals.append((u, v))
-            if g.n < bounds.max_n:
-                proposals.append((u, g.n))
-        if g.n + 2 <= bounds.max_n and len(comps) < target.max_components:
-            proposals.append((g.n, g.n + 1))
-
-        # One proposal per orbit of Aut(g); new vertices are fixed points.
-        firsts = orbit_roots(proposals, automorphism_generators(g, memo))
-        seen_children = set()
-        for i, (u, v) in enumerate(proposals):
-            if firsts[i] != i:
-                stats.orbit_skipped += 1
-                continue
-            stats.candidates_generated += 1
-            child = g.add_edge(u, v)
-            child_sizes = target.measure(child)
-            if child_sizes is None:
-                stats.pruned += 1
-                continue
-            child_cert = canonical_labeling(child, memo=memo)[0]
-            if child_cert.data in seen_children:
-                stats.duplicates += 1
-                continue
-            seen_children.add(child_cert.data)
-            if child_cert.data in visited:
-                stats.parent_rejected += 1
-                continue
-            visited.add(child_cert.data)
-            visit(child, child_cert, child_sizes)
-
     empty = Multigraph(0)
-    try:
-        visit(empty, canonical_form(empty), target.measure(empty))
-    finally:
-        # visit reaches itself through its closure, a reference cycle that
-        # would keep every labelling alive until a cyclic GC pass
-        del visit
+    cert = canonical_form(empty)
+    # certificate -> [graph, certificate, sizes, index of the last parent]
+    level = {cert.data: [empty, cert, target.measure(empty), 0]}
+    while level:
+        following = {}
+        for index, (g, cert, sizes, _) in enumerate(level.values()):
+            stats.explored += 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"search budget of {options.budget_seconds}s exhausted at "
+                    f"{g.m} edges; every root with fewer than {g.m} edges "
+                    "is listed",
+                    stats,
+                    _finish(target, bounds, accepted, stats, start, memo),
+                )
+            record = target.try_accept(g, cert, sizes)
+            if record is not None:
+                accepted[cert.data] = record
+                stats.accepted += 1
+            if g.m >= bounds.max_m:
+                continue
+            proposals = _proposals(g, target, bounds)
+            # One proposal per orbit of Aut(g); new vertices are fixed points.
+            firsts = orbit_roots(proposals, automorphism_generators(g, memo))
+            for i, (u, v) in enumerate(proposals):
+                if firsts[i] != i:
+                    stats.orbit_skipped += 1
+                    continue
+                stats.candidates_generated += 1
+                child = g.add_edge(u, v)
+                child_sizes = target.measure(child)
+                if child_sizes is None:
+                    stats.pruned += 1
+                    continue
+                child_cert = canonical_labeling(child, memo=memo)[0]
+                entry = following.get(child_cert.data)
+                if entry is None:
+                    following[child_cert.data] = [child, child_cert, child_sizes, index]
+                elif entry[3] == index:
+                    stats.duplicates += 1
+                else:
+                    stats.parent_rejected += 1
+                    entry[3] = index
+        level = following
     return _finish(target, bounds, accepted, stats, start, memo)
 
 

@@ -1,9 +1,12 @@
 import gc
+import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -169,6 +172,38 @@ def test_search_budget_exceeded():
         )
     assert err.value.stats.explored >= 1
     assert err.value.partial is not None
+
+
+def test_budget_lists_every_root_below_its_level(monkeypatch):
+    # a clock that ticks once per call stops the search at a chosen state;
+    # the level it stops on bounds the roots the partial answer must hold
+    full = minimal_link_roots(families.empty_graph(2), 6)
+    levels = []
+    for budget in (70, 400):
+        ticks = itertools.count()
+        monkeypatch.setattr(search_module, "time",
+                            SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        with pytest.raises(BudgetExceeded) as err:
+            minimal_link_roots(
+                families.empty_graph(2), 6, SearchOptions(budget_seconds=budget))
+        level = int(re.search(r"at (\d+) edges", str(err.value)).group(1))
+        assert str(err.value) == (
+            f"search budget of {budget}s exhausted at {level} edges; "
+            f"every root with fewer than {level} edges is listed")
+        below = {r.canonical.data for r in full if r.graph.m < level}
+        partial = err.value.partial.canonical_set()
+        assert below and below <= partial <= full.canonical_set()
+        levels.append(level)
+    assert levels == [8, 12]  # R_6(2K1) has roots with 7, 8 and 12 edges
+
+
+def test_search_counts_repeated_children_per_parent():
+    # one parent of R_6(2K1) makes twice a class that an earlier parent on
+    # its level made first: parent-rejected once, then a duplicate
+    stats = minimal_link_roots(families.empty_graph(2), 6).stats
+    assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
+            stats.pruned, stats.duplicates, stats.parent_rejected,
+            stats.accepted) == (491, 4030, 4673, 2137, 1, 1402, 3)
 
 
 def test_witnesses_verified():
