@@ -21,6 +21,7 @@ import sys
 sys.path.insert(0, "src")
 
 from linkgraph.construct import partitioned_link_graph, project_link
+from linkgraph.families import random_multigraph
 from linkgraph.links import count_arcs_by_length, enumerate_links
 from linkgraph.multigraph import Multigraph, metrics
 from linkgraph.partition import (
@@ -34,16 +35,7 @@ from linkgraph.partition import (
 
 def sample(rng, max_n=8, max_m=12):
     while True:
-        n = rng.randint(1, max_n)
-        m = rng.randint(0, max_m) if n >= 2 else 0
-        edges = []
-        for _ in range(m):
-            u = rng.randrange(n)
-            v = rng.randrange(n - 1)
-            if v >= u:
-                v += 1
-            edges.append((u, v))
-        g = Multigraph(n, edges)
+        g = random_multigraph(rng, max_n, max_m)
         counts = count_arcs_by_length(g, 7)
         if counts[5] // 2 <= 3000 and counts[7] // 2 <= 15000:
             return g

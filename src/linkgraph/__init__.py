@@ -53,7 +53,6 @@ from .partition import (
     PartitionedGraph,
     count_cyclic_components,
     derived_digraph,
-    validate,
 )
 from .search import (
     RootRecord,

@@ -68,7 +68,6 @@ class IncidenceReport:
     graph: Multigraph
     vertex_map: dict = field(repr=False)  # old vertex id -> new id
     edge_map: dict = field(repr=False)  # old edge id -> new id
-    witnesses: dict | None = field(repr=False, default=None)
 
 
 def unit_flags(g: Multigraph, ell: int):
@@ -145,9 +144,7 @@ def incidence_witnesses(g: Multigraph, ell: int):
     return witnesses
 
 
-def incidence_subgraph(
-    g: Multigraph, ell: int, with_witnesses: bool = False
-) -> IncidenceReport:
+def incidence_subgraph(g: Multigraph, ell: int) -> IncidenceReport:
     """The subgraph induced by the ell-incident units, with unit maps."""
     vflags, eflags = unit_flags(g, ell)
     kept_vertices = [v for v in range(g.n) if vflags[v]]
@@ -165,7 +162,6 @@ def incidence_subgraph(
         graph=Multigraph(len(kept_vertices), edges),
         vertex_map=vertex_map,
         edge_map=edge_map,
-        witnesses=incidence_witnesses(g, ell) if with_witnesses else None,
     )
 
 

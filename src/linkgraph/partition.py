@@ -1,11 +1,20 @@
 """Partitioned graphs: vertex/edge partitions, cycles that alternate edge
 parts, the derived digraph, and the cyclic/acyclic component census.
 
+A ``PartitionedGraph`` checks the partition axioms when it is built and
+raises ``PartitionError`` on the first violation, so every function here
+can trust its parts.
+
 A cycle of a partitioned graph must have consecutive edges (including the
 wrap-around pair) in different edge parts.  Detection goes through the
 derived digraph whose nodes are (vertex, incident edge part) pairs: a
-component is cyclic exactly when its digraph holds a dicycle, i.e. a
-strongly connected component with at least two nodes (no self-arcs exist).
+component is cyclic exactly when its digraph holds a dicycle.  The census
+peels the digraph, removing nodes of in-degree 0 until none is left (Kahn,
+CACM 1962); a node survives exactly when some dicycle reaches it.  A node
+no dicycle reaches has only acyclic ancestors, so it is removed; a node on
+or after a dicycle always keeps an in-arc from a node that was not removed.
+No arc leaves a component, so a component is cyclic exactly when a node of
+one of its vertices survives.
 """
 
 from __future__ import annotations
@@ -23,9 +32,40 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class PartitionedGraph:
+    """A multigraph with a partition of its vertices and one of its edges.
+
+    Building one checks, vertices first and then edges, that no part is
+    empty, every id names a unit of the graph, no id lies in two parts and
+    every unit lies in some part; the first violation raises
+    ``PartitionError``.
+    """
+
     graph: Multigraph
     vertex_parts: tuple  # tuple of sorted vertex-id tuples
     edge_parts: tuple
+
+    def __post_init__(self):
+        for label, parts, universe in (
+            ("vertex", self.vertex_parts, self.graph.n),
+            ("edge", self.edge_parts, self.graph.m),
+        ):
+            seen = set()
+            for i, part in enumerate(parts):
+                if not part:
+                    raise PartitionError(f"empty part: {label} part {i}")
+                for unit in part:
+                    if not 0 <= unit < universe:
+                        raise PartitionError(
+                            f"unknown id: {label} id {unit} in part {i}"
+                        )
+                    if unit in seen:
+                        raise PartitionError(
+                            f"overlap: {label} id {unit} in two parts"
+                        )
+                    seen.add(unit)
+            if len(seen) != universe:
+                missing = sorted(set(range(universe)) - seen)[0]
+                raise PartitionError(f"gap: {label} id {missing} uncovered")
 
     @staticmethod
     def singletons(g: Multigraph) -> "PartitionedGraph":
@@ -53,39 +93,6 @@ class PartitionedGraph:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    kind: str = ""
-    detail: str = ""
-
-
-def validate(pg: PartitionedGraph) -> ValidationReport:
-    """Check the partition axioms; report the first violation found."""
-    for label, parts, universe in (
-        ("vertex", pg.vertex_parts, pg.graph.n),
-        ("edge", pg.edge_parts, pg.graph.m),
-    ):
-        seen = set()
-        for i, part in enumerate(parts):
-            if not part:
-                return ValidationReport(False, "empty part", f"{label} part {i}")
-            for unit in part:
-                if not 0 <= unit < universe:
-                    return ValidationReport(
-                        False, "unknown id", f"{label} id {unit} in part {i}"
-                    )
-                if unit in seen:
-                    return ValidationReport(
-                        False, "overlap", f"{label} id {unit} in two parts"
-                    )
-                seen.add(unit)
-        if len(seen) != universe:
-            missing = sorted(set(range(universe)) - seen)[0]
-            return ValidationReport(False, "gap", f"{label} id {missing} uncovered")
-    return ValidationReport(True)
-
-
-@dataclass(frozen=True)
 class DerivedDigraph:
     """Digraph on (vertex, edge part) pairs certifying partitioned cycles."""
 
@@ -101,13 +108,19 @@ class DerivedDigraph:
         return len(self.arcs)
 
 
+def _parts_at(pg: PartitionedGraph, owner) -> list:
+    """Per vertex, the set of edge parts meeting it."""
+    at = [set() for _ in range(pg.graph.n)]
+    for e, (u, v) in enumerate(pg.graph.edges):
+        at[u].add(owner[e])
+        at[v].add(owner[e])
+    return at
+
+
 def derived_digraph(pg: PartitionedGraph) -> DerivedDigraph:
     g = pg.graph
     owner = pg.edge_part_of()
-    parts_at = [set() for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        parts_at[u].add(owner[e])
-        parts_at[v].add(owner[e])
+    parts_at = _parts_at(pg, owner)
     nodes = sorted((v, p) for v in range(g.n) for p in parts_at[v])
     node_index = {node: i for i, node in enumerate(nodes)}
     arcs = set()
@@ -118,55 +131,6 @@ def derived_digraph(pg: PartitionedGraph) -> DerivedDigraph:
                 if other != part:
                     arcs.add((node_index[(x, part)], node_index[(y, other)]))
     return DerivedDigraph(tuple(nodes), tuple(sorted(arcs)))
-
-
-def _strong_components(node_count: int, out_arcs) -> list:
-    """Node lists of the strongly connected components (iterative Tarjan)."""
-    index = [-1] * node_count
-    low = [0] * node_count
-    on_stack = [False] * node_count
-    stack = []
-    components = []
-    counter = 0
-    for root in range(node_count):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = out_arcs[v]
-            while pi < len(neighbors):
-                w = neighbors[pi]
-                pi += 1
-                if index[w] < 0:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                components.append(members)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components
 
 
 @dataclass(frozen=True)
@@ -185,21 +149,22 @@ class ComponentCensus:
 
 
 def count_cyclic_components(pg: PartitionedGraph) -> ComponentCensus:
-    report = validate(pg)
-    if not report.ok:
-        raise PartitionError(f"{report.kind}: {report.detail}")
     digraph = derived_digraph(pg)
     out_arcs = [[] for _ in digraph.nodes]
+    indegree = [0] * len(digraph.nodes)
     for a, b in digraph.arcs:
         out_arcs[a].append(b)
-    # no arc leaves a component, so a dicycle lies inside the component of
-    # any vertex it touches
-    on_dicycle = set()
-    for members in _strong_components(len(digraph.nodes), out_arcs):
-        if len(members) >= 2:
-            on_dicycle.update(digraph.nodes[i][0] for i in members)
+        indegree[b] += 1
+    removed = [i for i, d in enumerate(indegree) if d == 0]
+    for a in removed:
+        for b in out_arcs[a]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                removed.append(b)
+    # nodes never removed keep a positive in-degree
+    survivors = {digraph.nodes[i][0] for i, d in enumerate(indegree) if d}
     flags = [
-        any(v in on_dicycle for v in comp) for comp in pg.graph.components()
+        any(v in survivors for v in comp) for comp in pg.graph.components()
     ]
 
     dset = degree_set(pg)
@@ -240,12 +205,7 @@ def link_degree_sets(g: Multigraph, ell: int):
 
 def parts_per_vertex(pg: PartitionedGraph) -> int:
     """r(E): the maximum number of edge parts meeting a single vertex."""
-    owner = pg.edge_part_of()
-    at = [set() for _ in range(pg.graph.n)]
-    for e, (u, v) in enumerate(pg.graph.edges):
-        at[u].add(owner[e])
-        at[v].add(owner[e])
-    return max((len(s) for s in at), default=0)
+    return max((len(s) for s in _parts_at(pg, pg.edge_part_of())), default=0)
 
 
 def partitioned_links(pg: PartitionedGraph, s: int):

@@ -13,7 +13,7 @@ from linkgraph.formats import (
     write_root_set,
 )
 from linkgraph.multigraph import Multigraph
-from linkgraph.partition import validate
+from linkgraph.partition import PartitionError
 from linkgraph.search import minimal_link_roots
 
 from util import random_graph_corpus
@@ -60,7 +60,6 @@ def test_partition_files_round_trip():
     parts = link_partitions(result)
     text = format_partitions(parts)
     pg = parse_partitions(text, result.graph)
-    assert validate(pg).ok
     assert set(pg.vertex_parts) == set(parts.vertex_parts)
     assert set(pg.edge_parts) == set(parts.edge_parts)
 
@@ -71,6 +70,12 @@ def test_parse_partitions_rejects_junk():
         parse_partitions("X: 0\n", g)
     with pytest.raises(FormatError):
         parse_partitions("V: a\n", g)
+
+
+def test_parse_partitions_rejects_an_uncovered_edge():
+    text = "V: 0 1 2 3\nE: 0 1\nE: 3\n"
+    with pytest.raises(PartitionError, match="^gap: edge id 2 uncovered$"):
+        parse_partitions(text, families.cycle(4))
 
 
 def test_recipe_parsing(tmp_path):

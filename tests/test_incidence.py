@@ -10,6 +10,7 @@ from linkgraph.incidence import (
     count_incidence_pairs,
     expand_class,
     incidence_subgraph,
+    incidence_witnesses,
     is_l_equivalent,
     is_l_minimal,
     is_unit_l_incident,
@@ -75,7 +76,8 @@ def test_incidence_witnesses_are_links_through_the_unit():
 
     for g in random_graph_corpus(seed=71, count=40, max_n=7, max_m=8):
         for ell in range(5):
-            report = incidence_subgraph(g, ell, with_witnesses=True)
+            report = incidence_subgraph(g, ell)
+            witnesses = incidence_witnesses(g, ell)
             units = [("vertex", v, report.vertex_flags[v]) for v in range(g.n)]
             units += [("edge", e, report.edge_flags[e]) for e in range(g.m)]
             for kind, unit, incident in units:
@@ -85,13 +87,13 @@ def test_incidence_witnesses_are_links_through_the_unit():
                 assert flag == incident, (g, ell, kind, unit)
                 if not incident:
                     assert witness is None
-                    assert (kind, unit) not in report.witnesses
+                    assert (kind, unit) not in witnesses
                     continue
                 assert is_link_of(g, witness) and witness.length == ell
                 assert contains(witness, kind, unit, g), (g, ell, kind, unit)
                 # at ell = 0 no 0-link has an edge, so edges go unlisted
                 if ell or kind == "vertex":
-                    assert report.witnesses[(kind, unit)] == witness
+                    assert witnesses[(kind, unit)] == witness
 
 
 def test_incidence_subgraph_small_tree_is_null():

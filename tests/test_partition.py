@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from linkgraph import families
@@ -13,10 +15,9 @@ from linkgraph.partition import (
     graph_degree_set,
     parts_per_vertex,
     partitioned_links,
-    validate,
 )
 
-from util import random_graph_corpus
+from util import brute_force_cyclic_flags, random_graph_corpus
 
 
 def census_of(g, ell) -> ComponentCensus:
@@ -26,26 +27,41 @@ def census_of(g, ell) -> ComponentCensus:
 
 def test_validate_singletons_ok():
     pg = PartitionedGraph.singletons(families.cycle(3))
-    assert validate(pg).ok
+    assert pg.edge_parts == ((0,), (1,), (2,))
 
 
 def test_validate_unknown_id():
-    pg = PartitionedGraph(families.path(1), ((0, 1, 7),), ((0,),))
-    report = validate(pg)
-    assert not report.ok and report.kind == "unknown id"
+    with pytest.raises(PartitionError, match="^unknown id: vertex id 7 in part 0$"):
+        PartitionedGraph(families.path(1), ((0, 1, 7),), ((0,),))
 
 
 def test_validate_gap_and_overlap_and_empty():
     g = families.path(2)
-    assert validate(PartitionedGraph(g, ((0, 1),), ((0,), (1,)))).kind == "gap"
-    assert (
-        validate(PartitionedGraph(g, ((0, 1), (1, 2)), ((0,), (1,)))).kind
-        == "overlap"
-    )
-    assert (
-        validate(PartitionedGraph(g, ((0, 1, 2), ()), ((0,), (1,)))).kind
-        == "empty part"
-    )
+    with pytest.raises(PartitionError, match="^gap: vertex id 2 uncovered$"):
+        PartitionedGraph(g, ((0, 1),), ((0,), (1,)))
+    with pytest.raises(PartitionError, match="^overlap: vertex id 1 in two parts$"):
+        PartitionedGraph(g, ((0, 1), (1, 2)), ((0,), (1,)))
+    with pytest.raises(PartitionError, match="^empty part: vertex part 1$"):
+        PartitionedGraph(g, ((0, 1, 2), ()), ((0,), (1,)))
+
+
+@pytest.mark.parametrize(
+    "edge_parts, message",
+    [
+        (((0, 1), (2, 4)), "unknown id: edge id 4 in part 1"),
+        (((0, 1, 2), (3, -1)), "unknown id: edge id -1 in part 1"),
+        (((0, 1), (2,)), "gap: edge id 3 uncovered"),
+    ],
+    ids=["edge-id-m", "edge-id-minus-1", "uncovered-edge"],
+)
+def test_invalid_edge_partition_raises_when_built(edge_parts, message):
+    # these used to build, then gave wrong arcs or degree sets or an
+    # IndexError in every consumer but the census
+    g = families.cycle(4)
+    vertex_parts = tuple((v,) for v in range(g.n))
+    with pytest.raises(PartitionError) as err:
+        PartitionedGraph(g, vertex_parts, edge_parts)
+    assert str(err.value) == message
 
 
 def test_derived_digraph_single_edge():
@@ -126,6 +142,24 @@ def test_census_flags_each_of_many_components():
     linked = census_of(g, 2)
     assert linked.cyclic_count == sum(cyclic)
     assert linked.acyclic_count == sum(1 for i in range(0, 60, 3) if i % 5)
+
+
+def test_census_matches_walk_oracle_on_random_edge_partitions():
+    rng = random.Random(97)
+    cyclic = 0
+    for _ in range(1000):
+        g = families.random_multigraph(rng, 9, 14)
+        labels = [rng.randrange(1 + g.m // 2) for _ in range(g.m)]
+        groups = {}
+        for e, label in enumerate(labels):
+            groups.setdefault(label, []).append(e)
+        pg = PartitionedGraph(
+            g, tuple((v,) for v in range(g.n)), tuple(map(tuple, groups.values()))
+        )
+        flags = count_cyclic_components(pg).cyclic_flags
+        assert flags == brute_force_cyclic_flags(pg), (g.edges, pg.edge_parts)
+        cyclic += sum(flags)
+    assert cyclic > 300
 
 
 def test_census_rejects_invalid_partition():

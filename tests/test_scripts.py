@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,23 @@ def test_root_tables_agree_with_closed_forms():
     proc = run_script("scripts/root_tables.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "closed form agrees: False" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "workload", ["roots-link", "roots-path", "calculus", "canon-sym"])
+def test_benchmark_pass_checks_clean(workload):
+    # --seconds 0 runs the minimum number of checked passes; --trace 0
+    # leaves no file behind
+    proc = run_script("perfbench/run.py", "--workload", workload,
+                      "--seed", "1", "--seconds", "0", "--trace", "0")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_benchmark_oracle_catches_wrong_results():
+    proc = run_script("perfbench/test_oracle.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_invariance_sweep_holds_under_optimize():

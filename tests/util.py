@@ -7,9 +7,12 @@ library paths under test never feed their own answers back in.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from linkgraph.canon import canonical_form
+from linkgraph.families import random_multigraph
+from linkgraph.links import count_arcs_by_length
 from linkgraph.multigraph import Multigraph
 
 
@@ -87,6 +90,27 @@ def brute_force_partitioned_links(pg, s: int):
     return out
 
 
+def brute_force_cyclic_flags(pg):
+    """Per component of a partitioned graph, ordered by smallest vertex,
+    whether it holds a closed walk whose consecutive edges, the wrap-around
+    pair too, lie in different edge parts.  Walks are stepped as directed
+    edges (edge id, head); there are 2m of them, so a walk of 2m + 1 edges
+    repeats one and closes such a walk, and a closed one can be walked for
+    ever."""
+    g = pg.graph
+    part = {e: i for i, members in enumerate(pg.edge_parts) for e in members}
+    ends = {(e, head) for e, edge in enumerate(g.edges) for head in edge}
+    for _ in range(2 * g.m):
+        ends = {
+            (f, w)
+            for e, head in ends
+            for f, w in g.adjacency[head]
+            if part[f] != part[e]
+        }
+    heads = {head for _, head in ends}
+    return tuple(any(v in heads for v in comp) for comp in g.components())
+
+
 def brute_force_vertex_orbits(g: Multigraph):
     """Vertex orbits under the automorphism group, as sorted lists: two
     vertices share one iff colouring either alone gives the same form."""
@@ -150,40 +174,17 @@ def exhaustive_multigraphs(max_n: int, max_m: int):
 def random_graph_corpus(seed: int, count: int, max_n: int, max_m: int):
     """Deterministic corpus of random multigraphs (parallel edges allowed)."""
     rng = random.Random(seed)
-    corpus = []
-    while len(corpus) < count:
-        n = rng.randint(1, max_n)
-        m = rng.randint(0, max_m) if n >= 2 else 0
-        edges = []
-        for _ in range(m):
-            u = rng.randrange(n)
-            v = rng.randrange(n - 1)
-            if v >= u:
-                v += 1
-            edges.append((u, v))
-        corpus.append(Multigraph(n, edges))
-    return corpus
+    return [random_multigraph(rng, max_n, max_m) for _ in range(count)]
 
 
 def acceptance_corpus(seed=20260809, count=200, max_n=8, max_m=12):
     """The shared acceptance corpus: random multigraphs, parallel edges
     allowed, resampled when walk spaces leave desk scale so every criterion
     runs on the full corpus without skips."""
-    from linkgraph.links import count_arcs_by_length
-
     rng = random.Random(seed)
     corpus = []
     while len(corpus) < count:
-        n = rng.randint(1, max_n)
-        m = rng.randint(0, max_m) if n >= 2 else 0
-        edges = []
-        for _ in range(m):
-            u = rng.randrange(n)
-            v = rng.randrange(n - 1)
-            if v >= u:
-                v += 1
-            edges.append((u, v))
-        g = Multigraph(n, edges)
+        g = random_multigraph(rng, max_n, max_m)
         counts = count_arcs_by_length(g, 7)
         if counts[5] // 2 > 3000 or counts[7] // 2 > 15000:
             continue
@@ -202,8 +203,6 @@ def random_tree(rng: random.Random, n: int) -> Multigraph:
     for x in seq:
         degree[x] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for x in seq:
