@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import LinkGraphResult, LinkPartitions, partitioned_link_graph
+from .construct import LinkGraphResult, LinkPartitions
 from .links import iter_links
 from .multigraph import Multigraph
 
@@ -108,19 +108,13 @@ class DerivedDigraph:
         return len(self.arcs)
 
 
-def _parts_at(pg: PartitionedGraph, owner) -> list:
-    """Per vertex, the set of edge parts meeting it."""
-    at = [set() for _ in range(pg.graph.n)]
-    for e, (u, v) in enumerate(pg.graph.edges):
-        at[u].add(owner[e])
-        at[v].add(owner[e])
-    return at
-
-
 def derived_digraph(pg: PartitionedGraph) -> DerivedDigraph:
     g = pg.graph
     owner = pg.edge_part_of()
-    parts_at = _parts_at(pg, owner)
+    parts_at = [set() for _ in range(g.n)]  # per vertex, the edge parts meeting it
+    for e, (u, v) in enumerate(g.edges):
+        parts_at[u].add(owner[e])
+        parts_at[v].add(owner[e])
     nodes = sorted((v, p) for v in range(g.n) for p in parts_at[v])
     node_index = {node: i for i, node in enumerate(nodes)}
     arcs = set()
@@ -194,18 +188,6 @@ def degree_set(pg: PartitionedGraph) -> frozenset:
 def graph_degree_set(g: Multigraph) -> frozenset:
     """D(G) = {deg(v) - 1 : deg(v) >= 2}."""
     return frozenset(d - 1 for d in g.degrees() if d >= 2)
-
-
-def link_degree_sets(g: Multigraph, ell: int):
-    """(D(E_ell), Delta(E_ell), D(G)) for the partitioned ell-link graph."""
-    result, parts = partitioned_link_graph(g, ell)
-    dset = degree_set(PartitionedGraph.from_link_graph(result, parts))
-    return dset, max(dset, default=0), graph_degree_set(g)
-
-
-def parts_per_vertex(pg: PartitionedGraph) -> int:
-    """r(E): the maximum number of edge parts meeting a single vertex."""
-    return max((len(s) for s in _parts_at(pg, pg.edge_part_of())), default=0)
 
 
 def partitioned_links(pg: PartitionedGraph, s: int):

@@ -18,33 +18,43 @@ and a generating set that missed part of the group would only cost time.
 
 The ell-link graph and the ell-path graph of a disjoint union are the
 disjoint unions of those of its parts.  For ell >= 1 every vertex of a
-minimal root lies on an ell-link (ell-path), so every component of the
-root adds at least one component to H, and a minimal root has at most
-c(H) components (one under ``connected_only``).  The count is not monotone,
-so the search bounds it by never proposing a new disjoint edge to a graph
-that already has that many components.  Every class inside the bounds
-still has a parent inside them with no more components: if the class has
-a non-bridge edge, delete it; otherwise delete a pendant edge of a
-component with at least two edges; otherwise delete a one-edge component.
-Only the last parent has fewer components, and it is the one whose expansion
-proposes the new disjoint edge.  Under ``connected_only`` every graph grown
-is connected, so acceptance needs no connectivity test of its own.
+minimal root lies on an ell-link (ell-path), so each component G_i of a
+minimal root G of H maps onto the union B_i of a block of H's components,
+and the blocks partition them.  Minimality asks every vertex and edge to
+be ell-incident (to lie on an ell-path, for path roots), and walks stay
+inside components, so G is minimal exactly when every G_i is a minimal
+connected root of its block; conversely, one such root per block of any
+partition of H's components gives a minimal root of H.  So the search
+grows connected graphs only.  A target with one component, or a search under
+``connected_only``, is searched as it is.  Otherwise H's components are
+grouped into isomorphism classes, each distinct sub-multiset of classes
+(a block) is searched once for its connected roots, all blocks one edge
+level at a time together, and the roots of H are the disjoint unions of
+block roots over the multiset partitions of the classes.  Each union is
+checked as a root of H like any other root, and a union that fails is a
+program fault.  The unions with m edges are checked as soon as every
+block has grown level m, since their parts have at most m edges each, so a
+budget stop on level L, among the block states or the unions, has already
+accepted every root of H with fewer than L edges.  Every connected class
+inside the bounds keeps a connected parent inside them: delete a
+non-bridge edge if there is one, else a pendant edge and its leaf.
 
 Non-monotone conditions (cyclic-component count, minimality, the final
 isomorphism) are checked on complete candidates only.
 
 One search shares a component memo between its canonical labellings and
-automorphism generators (see ``canon``): adding an edge leaves every other
-component of the parent, and its vertex ids, as they were, so most
-component searches would repeat one already run.  The memo is dropped when
-the search returns; ``SearchStats.canon_searches`` is its size.
+automorphism generators (see ``canon``), so a graph labelled as a child is
+not searched again for its generators when it is expanded.  The memo is
+dropped when the search returns; ``SearchStats.canon_searches`` is its
+size.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .canon import (
     CanonicalForm,
@@ -137,6 +147,14 @@ class SearchOptions:
 
 @dataclass
 class SearchStats:
+    """Counters of one root search.
+
+    A target searched block by block counts the sum over its block
+    searches, except ``accepted``, the number of roots of the target, and
+    ``canon_searches``, the component searches of the one memo the blocks
+    share.
+    """
+
     candidates_generated: int = 0
     orbit_skipped: int = 0
     pruned: int = 0
@@ -235,10 +253,6 @@ class _Target:
         self.ell = ell
         self.bounds = bounds
         self.h_cert = canonical_form(h)
-        # each component of a minimal root adds a component to H
-        self.max_components = (
-            1 if options.connected_only else len(h.components())
-        )
         self.required = (
             bounds.required_link_count,
             bounds.required_super_link_count,
@@ -333,67 +347,60 @@ class _PathTarget(_Target):
         return path_graph(g, self.ell)
 
 
-def _proposals(g, target, bounds) -> list:
-    """The pairs (u, v) for which g + uv stays inside the target's caps."""
-    comps = g.components()
-    comp_label = [0] * g.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_label[v] = i
+def _proposals(g, target) -> list:
+    """The pairs (u, v) for which g + uv stays connected and inside the
+    target's caps."""
+    if g.n == 0:
+        return [(0, 1)]
     degrees = g.degrees()
     max_deg = target.max_degree
+    new_vertex = g.n < target.bounds.max_n
     proposals = []
     for u in range(g.n):
         if degrees[u] + 1 > max_deg:
             continue
-        for v in range(u + 1, g.n):
-            if degrees[v] + 1 > max_deg:
-                continue
-            if target.forbid_cycles and comp_label[u] == comp_label[v]:
-                continue
-            if g.multiplicity(u, v) + 1 > target.max_multiplicity:
-                continue
-            proposals.append((u, v))
-        if g.n < bounds.max_n:
+        if not target.forbid_cycles:
+            for v in range(u + 1, g.n):
+                if degrees[v] + 1 > max_deg:
+                    continue
+                if g.multiplicity(u, v) + 1 > target.max_multiplicity:
+                    continue
+                proposals.append((u, v))
+        if new_vertex:
             proposals.append((u, g.n))
-    if g.n + 2 <= bounds.max_n and len(comps) < target.max_components:
-        proposals.append((g.n, g.n + 1))
     return proposals
 
 
-def _orderly_search(target, bounds, options) -> tuple:
-    deadline = (
-        time.monotonic() + options.budget_seconds
-        if options.budget_seconds is not None
-        else None
-    )
-    stats = SearchStats()
-    start = time.monotonic()
-    accepted = {}
-    memo = {}
+def _orderly_search(targets, stats, memo, deadline, unions=None):
+    """Grow the connected candidates of every target, one edge level at a
+    time for all of them together; with ``unions``, check the unions of
+    their roots with m edges once level m is grown, up to ``unions.max_m``.
+
+    Returns one dict per target (certificate -> accepted record) and the
+    level a budget stop interrupted, or None when every search finished.
+    """
+    accepted = [{} for _ in targets]
     empty = Multigraph(0)
     cert = canonical_form(empty)
-    # certificate -> [graph, certificate, sizes, index of the last parent]
-    level = {cert.data: [empty, cert, target.measure(empty), 0]}
-    while level:
+    # (target index, certificate) -> [graph, certificate, sizes, index of the last parent]
+    level = {
+        (t, cert.data): [empty, cert, target.measure(empty), 0]
+        for t, target in enumerate(targets)
+    }
+    m = 0
+    while level or (unions is not None and m <= unions.max_m):
         following = {}
-        for index, (g, cert, sizes, _) in enumerate(level.values()):
+        for index, ((t, key), (g, cert, sizes, _)) in enumerate(level.items()):
             stats.explored += 1
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"search budget of {options.budget_seconds}s exhausted at "
-                    f"{g.m} edges; every root with fewer than {g.m} edges "
-                    "is listed",
-                    stats,
-                    _finish(target, bounds, accepted, stats, start, memo),
-                )
+            if _past(deadline):
+                return accepted, m
+            target = targets[t]
             record = target.try_accept(g, cert, sizes)
             if record is not None:
-                accepted[cert.data] = record
-                stats.accepted += 1
-            if g.m >= bounds.max_m:
+                accepted[t][key] = record
+            if g.m >= target.bounds.max_m:
                 continue
-            proposals = _proposals(g, target, bounds)
+            proposals = _proposals(g, target)
             # One proposal per orbit of Aut(g); new vertices are fixed points.
             firsts = orbit_roots(proposals, automorphism_generators(g, memo))
             for i, (u, v) in enumerate(proposals):
@@ -407,32 +414,99 @@ def _orderly_search(target, bounds, options) -> tuple:
                     stats.pruned += 1
                     continue
                 child_cert = canonical_labeling(child, memo=memo)[0]
-                entry = following.get(child_cert.data)
+                entry = following.get((t, child_cert.data))
                 if entry is None:
-                    following[child_cert.data] = [child, child_cert, child_sizes, index]
+                    following[t, child_cert.data] = [child, child_cert, child_sizes, index]
                 elif entry[3] == index:
                     stats.duplicates += 1
                 else:
                     stats.parent_rejected += 1
                     entry[3] = index
+        if unions is not None and not unions.check(m, accepted, deadline):
+            return accepted, m
         level = following
-    return _finish(target, bounds, accepted, stats, start, memo)
+        m += 1
+    return accepted, None
 
 
-def _finish(target, bounds, accepted, stats, start, memo):
-    stats.elapsed_seconds = time.monotonic() - start
-    stats.canon_searches = len(memo)
-    roots = tuple(
-        accepted[key] for key in sorted(accepted)
-    )
-    return RootSet(
-        target=target.h,
-        ell=target.ell,
-        mode=target.mode,
-        roots=roots,
-        bounds=bounds,
-        stats=stats,
-    )
+def _past(deadline) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
+def _block_targets(target_class, h, ell, options):
+    """H's component classes (by certificate), the class counts of each
+    nonempty block, and a connected-only target per block."""
+    classes = {}
+    for comp in h.components():
+        g = h.induced_on(comp)
+        classes.setdefault(canonical_form(g).data, [g, 0])[1] += 1
+    classes = [classes[key] for key in sorted(classes)]
+    total = tuple(count for _, count in classes)
+    blocks = [
+        counts for counts in itertools.product(*(range(c + 1) for c in total))
+        if any(counts)
+    ]
+    block_options = replace(options, connected_only=True)
+    targets = []
+    for counts in blocks:
+        block = Multigraph(0)
+        for (g, _), k in zip(classes, counts):
+            for _ in range(k):
+                block = block.disjoint_union(g)
+        targets.append(
+            target_class(block, ell, compute_bounds(block, ell), block_options)
+        )
+    return total, blocks, targets
+
+
+def _partitions(total, blocks, start=0):
+    """Each multiset of blocks (index tuples, non-decreasing from ``start``)
+    whose class counts add up to ``total``."""
+    if not any(total):
+        yield ()
+        return
+    for b in range(start, len(blocks)):
+        rest = tuple(t - k for t, k in zip(total, blocks[b]))
+        if min(rest) >= 0:
+            for tail in _partitions(rest, blocks, b):
+                yield (b,) + tail
+
+
+class _Unions:
+    """The disjoint unions of block roots over every multiset partition of
+    the target's component classes, each accepted as a root of the whole
+    target.  ``roots`` maps certificates to the records accepted so far;
+    ``max_m`` bounds the size of a union, since no block search grows a
+    graph past its own ``max_m``."""
+
+    def __init__(self, whole, total, blocks, targets):
+        self.whole = whole
+        self.partitions = list(_partitions(total, blocks))
+        self.max_m = max(
+            sum(targets[b].bounds.max_m for b in partition)
+            for partition in self.partitions
+        )
+        self.roots = {}
+
+    def check(self, m, accepted, deadline) -> bool:
+        """Accept the unions with m edges; False if the deadline passed
+        first.  Every block root with at most m edges must be accepted."""
+        for partition in self.partitions:
+            for parts in itertools.product(*(accepted[b].values() for b in partition)):
+                if sum(record.graph.m for record in parts) != m:
+                    continue
+                if _past(deadline):
+                    return False
+                g = parts[0].graph
+                for record in parts[1:]:
+                    g = g.disjoint_union(record.graph)
+                cert = canonical_form(g)
+                if cert.data in self.roots:
+                    continue
+                record = self.whole.try_accept(g, cert, self.whole.measure(g))
+                _check(record is not None, "a union of block roots is not a root")
+                self.roots[cert.data] = record
+        return True
 
 
 def _trivial_rootset(h, ell, mode, graphs):
@@ -466,7 +540,43 @@ def _search(target_class, h, ell, options):
             f"target needs up to {bounds.max_m} edges; limit is "
             f"{options.max_edges_limit} (raise max_edges_limit to override)"
         )
-    return _orderly_search(target_class(h, ell, bounds, options), bounds, options)
+    deadline = (
+        time.monotonic() + options.budget_seconds
+        if options.budget_seconds is not None
+        else None
+    )
+    stats = SearchStats()
+    start = time.monotonic()
+    memo = {}
+    whole = target_class(h, ell, bounds, options)
+    if options.connected_only or len(h.components()) == 1:
+        accepted, stopped = _orderly_search([whole], stats, memo, deadline)
+        roots = accepted[0]
+    else:
+        total, blocks, targets = _block_targets(target_class, h, ell, options)
+        unions = _Unions(whole, total, blocks, targets)
+        _, stopped = _orderly_search(targets, stats, memo, deadline, unions)
+        roots = unions.roots
+    stats.elapsed_seconds = time.monotonic() - start
+    stats.accepted = len(roots)
+    stats.canon_searches = len(memo)
+    root_set = RootSet(
+        target=h,
+        ell=ell,
+        mode=target_class.mode,
+        roots=tuple(roots[key] for key in sorted(roots)),
+        bounds=bounds,
+        stats=stats,
+    )
+    if stopped is not None:
+        raise BudgetExceeded(
+            f"search budget of {options.budget_seconds}s exhausted at "
+            f"{stopped} edges; every root with fewer than {stopped} edges "
+            "is listed",
+            stats,
+            root_set,
+        )
+    return root_set
 
 
 def minimal_link_roots(

@@ -20,6 +20,7 @@ from util import (
     brute_force_links,
     brute_force_path_pairs,
     brute_force_paths,
+    parts_per_vertex,
     random_graph_corpus,
 )
 
@@ -107,7 +108,7 @@ def test_vertex_parts_independent_when_ell_not_one():
 
 
 def test_edge_parts_touch_each_vertex_at_most_twice():
-    from linkgraph.partition import PartitionedGraph, parts_per_vertex
+    from linkgraph.partition import PartitionedGraph
 
     for g in random_graph_corpus(seed=43, count=15, max_n=6, max_m=7):
         for ell in (1, 2, 3):

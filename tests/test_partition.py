@@ -13,11 +13,10 @@ from linkgraph.partition import (
     degree_set,
     derived_digraph,
     graph_degree_set,
-    parts_per_vertex,
     partitioned_links,
 )
 
-from util import brute_force_cyclic_flags, random_graph_corpus
+from util import brute_force_cyclic_flags, parts_per_vertex, random_graph_corpus
 
 
 def census_of(g, ell) -> ComponentCensus:
@@ -235,11 +234,11 @@ def test_partitioned_links_respect_parts():
 
 
 def test_link_degree_sets_convenience():
-    from linkgraph.partition import link_degree_sets
-
-    dset, dmax, dgraph = link_degree_sets(families.cycle(5), 2)
-    assert dset == frozenset({1}) and dmax == 1
-    assert dgraph == frozenset({1})
+    g = families.cycle(5)
+    res, parts = partitioned_link_graph(g, 2)
+    dset = degree_set(PartitionedGraph.from_link_graph(res, parts))
+    assert dset == frozenset({1}) and max(dset) == 1
+    assert graph_degree_set(g) == frozenset({1})
 
 
 def test_census_desk_scale_performance():

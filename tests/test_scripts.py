@@ -35,6 +35,46 @@ def test_benchmark_pass_checks_clean(workload):
     assert result["correct"] is True and result["failed"] == 0, result
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(REPO, "scripts", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_summarises_runs(tmp_path, monkeypatch):
+    record = load_script("bench_record")
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def run_once(checkout, command, workload, seed, seconds):
+        calls.append((workload, seed, seconds))
+        meta = {"src_sha256": "abc", "python": "3", "platform": "p", "nproc": 2}
+        result = {"failed": 0, "metrics": {
+            "wall_s": {"unit": "s", "value": float(seed)},
+            "ok_ratio": {"unit": "ratio", "value": 1.0}}}
+        return meta, result
+
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    monkeypatch.setattr(record, "commit_label", lambda checkout: "abc1234")
+    monkeypatch.setattr(record, "run_once", run_once)
+    assert record.main(["--runs", "4"]) == 0
+    names = [w["name"] for w in spec["workloads"]]
+    assert calls == [(name, seed, spec["run_seconds"])
+                     for seed in (1, 2, 3, 4) for name in names]
+    out = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
+    assert out["commit"] == "abc1234" and out["runs"] == 4
+    assert out["seconds"] == spec["run_seconds"]
+    assert sorted(out["workloads"]) == sorted(names)
+    for workload in out["workloads"].values():
+        assert workload["wall_s"] == {"unit": "s", "median": 2.5, "q1": 1.75,
+                                      "q3": 3.25, "values": [1.0, 2.0, 3.0, 4.0]}
+        assert workload["ok_ratio"]["median"] == 1.0
+
+
 def test_benchmark_oracle_catches_wrong_results():
     proc = run_script("perfbench/test_oracle.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -52,10 +92,7 @@ def test_invariance_sweep_exits_1_on_a_broken_invariant(monkeypatch, capsys):
     # code and a printed graph whatever the interpreter's -O setting
     monkeypatch.chdir(REPO)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds src
-    spec = importlib.util.spec_from_file_location(
-        "invariance_sweep", os.path.join(REPO, "scripts", "invariance_sweep.py"))
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_script("invariance_sweep")
     census = sweep.count_cyclic_components
 
     def off_by_one(pg):

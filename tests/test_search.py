@@ -178,8 +178,8 @@ def test_budget_lists_every_root_below_its_level(monkeypatch):
     # a clock that ticks once per call stops the search at a chosen state;
     # the level it stops on bounds the roots the partial answer must hold
     full = minimal_link_roots(families.empty_graph(2), 6)
-    levels = []
-    for budget in (70, 400):
+    levels, explored = [], []
+    for budget in (40, 90):
         ticks = itertools.count()
         monkeypatch.setattr(search_module, "time",
                             SimpleNamespace(monotonic=lambda: float(next(ticks))))
@@ -194,16 +194,51 @@ def test_budget_lists_every_root_below_its_level(monkeypatch):
         partial = err.value.partial.canonical_set()
         assert below and below <= partial <= full.canonical_set()
         levels.append(level)
+        explored.append(err.value.stats.explored)
     assert levels == [8, 12]  # R_6(2K1) has roots with 7, 8 and 12 edges
+    # the second stop comes after the last block state, among the unions
+    assert explored[1] == full.stats.explored
+
+
+@pytest.mark.parametrize("search, h, ell", [
+    (minimal_link_roots, families.empty_graph(2), 4),
+    (minimal_path_roots, families.empty_graph(3), 2),
+])
+def test_every_budget_stop_lists_the_roots_below_its_level(monkeypatch, search, h, ell):
+    # stop at every tick of a clock that ticks once per call, through the
+    # block states and the unions, until the search finishes
+    full = search(h, ell)
+    for budget in itertools.count(1):
+        ticks = itertools.count()
+        monkeypatch.setattr(search_module, "time",
+                            SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        try:
+            search(h, ell, SearchOptions(budget_seconds=budget))
+        except BudgetExceeded as err:
+            level = int(re.search(r"at (\d+) edges", str(err)).group(1))
+            below = {r.canonical.data for r in full if r.graph.m < level}
+            assert below <= err.partial.canonical_set() <= full.canonical_set()
+            last_stop = err
+        else:
+            break
+    # the last stop comes after the last block state, among the unions
+    assert last_stop.stats.explored == full.stats.explored
+    assert len(last_stop.partial) < len(full)
 
 
 def test_search_counts_repeated_children_per_parent():
-    # one parent of R_6(2K1) makes twice a class that an earlier parent on
-    # its level made first: parent-rejected once, then a duplicate
+    # R_6(2K1), summed over its block searches (K1 and 2K1), never makes a
+    # class twice from one parent; the 1-root search of L_2 of the diamond
+    # (K4 minus an edge) has parents that do
     stats = minimal_link_roots(families.empty_graph(2), 6).stats
     assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
             stats.pruned, stats.duplicates, stats.parent_rejected,
-            stats.accepted) == (491, 4030, 4673, 2137, 1, 1402, 3)
+            stats.accepted) == (87, 352, 171, 134, 0, 133, 3)
+    diamond = Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    stats = minimal_link_roots(link_graph(diamond, 2).graph, 1).stats
+    assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
+            stats.pruned, stats.duplicates, stats.parent_rejected,
+            stats.accepted) == (409, 3402, 1460, 2049, 2, 943, 0)
 
 
 def test_witnesses_verified():
@@ -410,6 +445,8 @@ def test_forged_witness_caught_under_optimize():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
+        find_isomorphism = search.find_isomorphism
+        sequence_girth = incidence._sequence_girth
         search.find_isomorphism = lambda g, h: {v: 0 for v in range(g.n)}
         incidence._sequence_girth = lambda items: 0
         runs = {
@@ -426,6 +463,19 @@ def test_forged_witness_caught_under_optimize():
             except search.InternalCheckError:
                 continue
             sys.exit(name + " passed a forged check")
+
+        # forge only the witnesses of the whole target, which the block
+        # searches never see: each union of block roots is checked
+        incidence._sequence_girth = sequence_girth
+        target = families.empty_graph(2)
+        search.find_isomorphism = lambda g, h: (
+            {v: 0 for v in range(g.n)} if h is target else find_isomorphism(g, h))
+        try:
+            search.minimal_link_roots(target, 3)
+        except search.InternalCheckError:
+            pass
+        else:
+            sys.exit("a union of block roots passed a forged check")
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(search_module.__file__)))
@@ -471,11 +521,13 @@ def test_search_state_freed_without_cyclic_gc(monkeypatch):
 # The benchmark's ten root searches.  The first tuple is what the search
 # counted before it proposed one edge per orbit of the parent's automorphism
 # group (the seed-commit counters perfbench/workloads.py records): explored,
-# proposals, parent_rejected, accepted.  The component bound and the path
-# caps have since shrunk the tree, so its explored and proposal counts are
-# upper bounds.  The second tuple is the exact count now: explored,
-# candidates, orbit_skipped, parent_rejected.  Then the canonical forms of
-# the roots, in hex.
+# proposals, parent_rejected, accepted.  Growing connected graphs only (one
+# block of the target's components at a time) and the path caps have since
+# shrunk the tree, so its explored and proposal counts are upper bounds.
+# The second tuple is the exact count now: explored, candidates,
+# orbit_skipped, parent_rejected; for the 2K1 targets, summed over the
+# searches of the blocks K1 and 2K1.  Then the canonical forms of the
+# roots, in hex.
 ORBIT_SEARCH_TARGETS = {
     "R_2(C6)": (families.cycle(6), 2, False, (318, 15490, 723, 2),
                 (25, 178, 140, 12), {
@@ -487,12 +539,12 @@ ORBIT_SEARCH_TARGETS = {
                 (11, 57, 38, 2), {
         "030003000100020102"}),
     "R_5(2K1)": (families.empty_graph(2), 5, False, (243, 6059, 812, 3),
-                 (142, 883, 1157, 279), {
+                 (32, 85, 55, 22), {
         "070006000301060206030404050506",
         "0800070003010402050306040705070607",
         "0c000a0002010302040305040506080709080a090b0a0b"}),
     "R_4(2K1)": (families.empty_graph(2), 4, False, (72, 1283, 147, 2),
-                 (46, 210, 290, 61), {
+                 (16, 29, 19, 5), {
         "06000500030105020503040405", "0a000800020103020403040507060807090809"}),
     "Q_3(K2)": (families.path(1), 3, True, (132, 994, 172, 1),
                 (19, 79, 49, 9), {
@@ -529,6 +581,105 @@ def test_orbit_proposals_keep_the_search(name):
     assert {r.canonical.hex() for r in found} == roots
 
 
+# Root sets (canonical forms in hex) of targets with several components,
+# as the search that grew all components of a root together found them.
+MULTI_COMPONENT_ROOTS = {
+    "R_1(2K1)": {"04000200010203"},
+    "R_2(2K1)": {"0600040002010203050405"},
+    "R_3(2K1)": {"0500040003010402040304", "080006000201030203040605070607"},
+    "R_4(2K1)": {
+        "06000500030105020503040405", "0a000800020103020403040507060807090809",
+    },
+    "R_5(2K1)": {
+        "070006000301060206030404050506", "0800070003010402050306040705070607",
+        "0c000a0002010302040305040506080709080a090b0a0b",
+    },
+    "R_6(2K1)": {
+        "0800070003010702070304040505060607", "09000800030104020503060408050806070708",
+        "0e000c0002010302040305040605060709080a090b0a0c0b0d0c0d",
+    },
+    "R_7(2K1)": {
+        "09000800030108020803040405050606070708",
+        "0a0009000301040205030604090509060707080809",
+        "0b000a0003010402050306040705080609070a080a090a",
+        "10000e0002010302040305040605070607080a090b0a0c0b0d0c0e0d0f0e0f",
+    },
+    "R_1(3K1)": {"060003000102030405"},
+    "R_2(3K1)": {"040003000301030203", "090006000201020305040506080708"},
+    "R_3(3K1)": {
+        "06000500040105020503050405", "0900070002010302030407050806080708",
+        "0c0009000201030203040605070607080a090b0a0b",
+    },
+    "R_4(3K1)": {
+        "070006000301040205030604060506", "070006000401060206030604050506",
+        "0b000900020103020403040508060a070a0809090a",
+        "0f000c000201030204030405070608070908090a0c0b0d0c0e0d0e",
+    },
+    "R_1(2K2)": {"0600040002010203050405"},
+    "R_1(C3+K1)": {"0500040001020302040304", "0600040001020503050405"},
+    "R_2(2K2)": {"080006000201030203040605070607"},
+    "R_2(C3+K1)": {"06000500020102030403050405"},
+    "R_2(K2+K1)": {"07000500020102030504060506"},
+    "R_3(K2+K1)": {"0900070002010302030406050706080708"},
+    "Q_2(2K1)": {"030003000101020102", "0600040002010203050405"},
+    "Q_3(2K1)": {
+        "0400040001010202030203", "0400040002010302030203", "0400040003010201030203",
+        "0500040003010402040304", "080006000201030203040605070607",
+    },
+    "Q_2(K2+K1)": {"07000500020102030504060506"},
+    "Q_2(2K2)": {"0400040002010302030203", "080006000201030203040605070607"},
+    "Q_2(3K1)": {
+        "0300040001010201020102", "040003000301030203", "06000500020102030404050405",
+        "090006000201020305040506080708",
+    },
+}
+
+MULTI_COMPONENT_TARGETS = {
+    "2K1": families.empty_graph(2),
+    "3K1": families.empty_graph(3),
+    "2K2": two_k2(),
+    "C3+K1": c3_k1(),
+    "K2+K1": families.path(1).disjoint_union(Multigraph(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_COMPONENT_ROOTS))
+def test_block_search_keeps_multi_component_roots(name):
+    mode, ell, target = re.fullmatch(r"([RQ])_(\d)\((.+)\)", name).groups()
+    search = minimal_link_roots if mode == "R" else minimal_path_roots
+    found = search(MULTI_COMPONENT_TARGETS[target], int(ell))
+    assert {r.canonical.hex() for r in found} == MULTI_COMPONENT_ROOTS[name]
+
+
+def test_path_roots_of_k2_and_three_isolated_vertices():
+    # the search that grew all four components together ran past 60 s here
+    h = families.path(1).disjoint_union(families.empty_graph(3))
+    roots = minimal_path_roots(h, 3, SearchOptions(budget_seconds=30))
+    assert len(roots) == 12
+    for r in roots:
+        assert is_path_minimal(r.graph, 3)
+        assert is_isomorphic(path_graph(r.graph, 3).graph, h)
+
+
+def test_rejected_union_of_block_roots_raises(monkeypatch):
+    # every union of block roots is a root; one that fails the whole
+    # target's check is a program fault, never dropped
+    complete = search_module._LinkTarget.complete
+    monkeypatch.setattr(search_module._LinkTarget, "complete",
+                        lambda self, g: g.is_connected() and complete(self, g))
+    with pytest.raises(search_module.InternalCheckError):
+        minimal_link_roots(families.empty_graph(2), 3)
+
+
+def test_forests_only_combines_forest_roots():
+    # R_1(C3 + K1) is {K3 + K2, K_{1,3} + K2}: only the second is a forest
+    full = minimal_link_roots(c3_k1(), 1)
+    forests = minimal_link_roots(c3_k1(), 1, SearchOptions(forests_only=True))
+    assert len(full) == 2
+    assert forests.canonical_set() == {r.canonical.data for r in full if r.is_forest}
+    assert len(forests) == 1
+
+
 @pytest.mark.parametrize("h, ell, target_class", [
     (families.complete(3), 1, search_module._LinkTarget),
     (families.cycle(3), 2, search_module._LinkTarget),
@@ -555,24 +706,22 @@ def test_connected_search_visits_each_class_in_bounds_once(monkeypatch, target_c
 
 
 def assert_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class, options):
-    # every class that passes the prunes is visited, and only once
-    visited = []
+    # every connected class that passes a searched target's prunes is
+    # visited, and only once; a target of several components is searched
+    # block by block, and the whole target then checks each union of roots
+    visited = {}
     try_accept = target_class.try_accept
 
     def spy(self, g, cert, sizes):
-        visited.append(cert.data)
+        visited.setdefault(self, []).append(cert.data)
         return try_accept(self, g, cert, sizes)
 
     monkeypatch.setattr(target_class, "try_accept", spy)
     search = minimal_link_roots if target_class.mode == "link" else minimal_path_roots
-    search(h, ell, options)
-    assert len(visited) == len(set(visited))
+    roots = search(h, ell, options)
 
-    bounds = compute_bounds(h, ell)
-    target = target_class(h, ell, bounds, options)
-
-    def in_bounds(g):
-        if len(g.components()) > target.max_components:
+    def in_bounds(target, g):
+        if not g.is_connected():
             return False
         if g.max_degree() > target.max_degree:
             return False
@@ -582,9 +731,15 @@ def assert_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class, o
             return False
         return target.measure(g) is not None
 
-    expected = {
-        canonical_form(g).data
-        for g in exhaustive_multigraphs(bounds.max_n, bounds.max_m)
-        if in_bounds(g)
-    }
-    assert set(visited) == expected
+    for target, seen in visited.items():
+        assert len(seen) == len(set(seen))
+        if target.h is h and len(visited) > 1:
+            assert set(seen) == roots.canonical_set()
+            continue
+        bounds = target.bounds
+        expected = {
+            canonical_form(g).data
+            for g in exhaustive_multigraphs(bounds.max_n, bounds.max_m)
+            if in_bounds(target, g)
+        }
+        assert set(seen) == expected

@@ -145,6 +145,16 @@ def delete_unit(g: Multigraph, kind: str, unit: int) -> Multigraph:
     return g.induced_on(keep)
 
 
+def parts_per_vertex(pg) -> int:
+    """r(E): the most edge parts meeting one vertex of a partitioned graph."""
+    owner = pg.edge_part_of()
+    at = [set() for _ in range(pg.graph.n)]
+    for e, (u, v) in enumerate(pg.graph.edges):
+        at[u].add(owner[e])
+        at[v].add(owner[e])
+    return max((len(parts) for parts in at), default=0)
+
+
 def exhaustive_multigraphs(max_n: int, max_m: int):
     """One representative per isomorphism class, no isolated vertices.
 
