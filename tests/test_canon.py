@@ -346,6 +346,63 @@ def test_golden_forest_digests():
     assert found == GOLDEN_FOREST_DIGESTS
 
 
+def _symmetric_inputs():
+    """The symmetric graphs of perfbench's canon-sym workload, by name."""
+    doubled_c4 = Multigraph(4, [e for e in families.cycle(4).edges for _ in range(2)])
+    return {
+        "L_3(K5)": link_graph(families.complete(5), 3).graph,
+        "L_4(K4)": link_graph(families.complete(4), 4).graph,
+        "L_1(K6)": link_graph(families.complete(6), 1).graph,
+        "L_2(Petersen)": link_graph(_petersen(), 2).graph,
+        "C36": families.cycle(36),
+        "L_2(2C4)": link_graph(doubled_c4, 2).graph,
+    }
+
+
+def _generators_bytes(g):
+    # repr keeps each generator's key order, which is part of the output
+    return repr(automorphism_generators(g)).encode()
+
+
+# sha256 of form bytes + labeling bytes, and of the repr of
+# automorphism_generators, first 16 hex digits each; orbit_roots and the
+# root search's counters depend on the generators, so they are pinned too
+GOLDEN_SYMMETRIC_DIGESTS = {
+    "L_3(K5)": ("eb7318bced321e6d", "15d3f1c01b35a72b"),
+    "L_4(K4)": ("601a0694b77c18ca", "2944a20e0b408d79"),
+    "L_1(K6)": ("a5d29f391f2de9eb", "6b8f18563552f3cf"),
+    "L_2(Petersen)": ("696d3eeedceaf431", "b86493b3f691ff51"),
+    "C36": ("1795426e0a596b01", "d9f0c1d5420363ac"),
+    "L_2(2C4)": ("b53e285d49780cda", "262e548b69a06673"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYMMETRIC_DIGESTS))
+def test_golden_symmetric_digests(name):
+    g = _symmetric_inputs()[name]
+    form, lab = canonical_labeling(g)
+    found = (
+        hashlib.sha256(form.data + bytes(lab)).hexdigest()[:16],
+        hashlib.sha256(_generators_bytes(g)).hexdigest()[:16],
+    )
+    assert found == GOLDEN_SYMMETRIC_DIGESTS[name]
+
+
+def test_golden_random_corpus_digest():
+    # 2000 seeded random multigraphs, every third one randomly 3-coloured:
+    # one sha256 over each form, labeling and generator list
+    rng = random.Random(17)
+    labels, generators = hashlib.sha256(), hashlib.sha256()
+    for i in range(2000):
+        g = families.random_multigraph(rng, 9, 14)
+        colors = [rng.randrange(3) for _ in range(g.n)] if i % 3 == 0 else None
+        form, lab = canonical_labeling(g, colors)
+        labels.update(form.data + bytes(lab))
+        generators.update(_generators_bytes(g))
+    assert (labels.hexdigest()[:16], generators.hexdigest()[:16]) == (
+        "f9e4714be4d166db", "77a005a3221bdb95")
+
+
 @pytest.mark.parametrize(
     "g",
     [
