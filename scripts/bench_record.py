@@ -8,12 +8,18 @@ the other, and writes ``BENCH_<commit>.json`` at the root of this
 repository: per workload and end-to-end metric the median, the quartiles
 and every run's value.
 
+With --trace, each of those runs is followed by one ``--trace 1`` run of
+the same workload and seed, and the per-layer metrics it prints (such as
+``canon.s``, ``canon.self_s`` and ``canon.max_ms``) are summarised the
+same way, next to the end-to-end ones.  End-to-end metrics come only from
+the untraced runs.
+
 <commit> is the short hash of CHECKOUT's HEAD, followed by ``-dirty`` when
 its ``src/`` or ``perfbench/`` differ from that commit.  ``src_sha256`` in
 the file is perfbench's digest of the measured ``src/linkgraph``.
 
 Usage:
-    python3 scripts/bench_record.py [--checkout DIR] [--runs N]
+    python3 scripts/bench_record.py [--checkout DIR] [--runs N] [--trace]
 
 Stops with an error when a run fails, and exits 1 when a run reports a
 failed operation.
@@ -43,11 +49,11 @@ def commit_label(checkout):
     return label
 
 
-def run_once(checkout, command, workload, seed, seconds):
+def run_once(checkout, command, workload, seed, seconds, trace):
     """One benchmark process; its meta line and result line."""
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -68,6 +74,9 @@ def main(argv=None):
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="git checkout to measure (default: this one)")
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--trace", action="store_true",
+                        help="add one traced run per workload and seed, "
+                             "for the per-layer metrics")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2 to give quartiles")
@@ -81,13 +90,17 @@ def main(argv=None):
     failed = 0
     for seed in range(1, args.runs + 1):
         for name in metrics:
-            meta, result = run_once(checkout, command, name, seed, spec["run_seconds"])
-            print(f"{name} seed {seed}: wall_s "
-                  f"{result['metrics']['wall_s']['value']:.4f}", flush=True)
-            failed += result["failed"]
-            for metric, entry in result["metrics"].items():
-                metrics[name].setdefault(metric, {"unit": entry["unit"], "runs": []})
-                metrics[name][metric]["runs"].append(entry["value"])
+            for trace in range(1 + args.trace):
+                meta, result = run_once(
+                    checkout, command, name, seed, spec["run_seconds"], trace
+                )
+                if not trace:
+                    print(f"{name} seed {seed}: wall_s "
+                          f"{result['metrics']['wall_s']['value']:.4f}", flush=True)
+                failed += result["failed"]
+                for metric, entry in result["metrics"].items():
+                    metrics[name].setdefault(metric, {"unit": entry["unit"], "runs": []})
+                    metrics[name][metric]["runs"].append(entry["value"])
 
     record = {
         "commit": label,
@@ -96,6 +109,7 @@ def main(argv=None):
         "platform": meta["platform"],
         "nproc": meta["nproc"],
         "runs": args.runs,
+        "traced": args.trace,
         "seconds": spec["run_seconds"],
         "workloads": {
             name: {

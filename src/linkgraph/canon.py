@@ -2,12 +2,29 @@
 
 Per connected component, a search tree in the manner of nauty (McKay and
 Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014).  Each
-node refines its colouring to the stable one, then individualises in turn
-each vertex of the smallest non-singleton class.  Parallel edges are folded
-into neighbour weights, so the stable partition refines both the degree
-multiset and the multiplicity profile.  A leaf is a discrete colouring, that
-is a labelling; the certificate is the least relabelled graph over the
-leaves, and the labelling is that of the first leaf to reach it.
+node holds an ordered partition of the component's vertices, refines it to
+the stable one, then individualises in turn each vertex of the smallest
+non-singleton cell by moving it to the end of that cell.  Parallel edges are
+folded into neighbour weights, so the stable partition refines both the
+degree multiset and the multiplicity profile.  A leaf is a discrete
+partition, that is a labelling; the certificate is the least relabelled
+graph over the leaves, and the labelling is that of the first leaf to reach
+it.
+
+Refinement runs in simultaneous rounds.  A round signs each vertex with the
+sorted multiset of (neighbour's cell, weight) pairs under the partition the
+round starts from, splits each cell by signature and orders its parts by
+signature in place, so cells never change order.  A cell can split only if
+it holds a neighbour of a vertex whose cell split in the round before, and
+the largest part of each split can be left out of that test: a vertex's
+weights into the old cell are those into its parts together (McKay,
+"Practical graph isomorphism", 1981; Paige and Tarjan, SIAM J. Comput.
+1987).  So a round re-signs only the cells next to the other parts, and the
+first round after an individualisation only the cells next to that vertex;
+only the root signs every cell.  nauty's sequential splitter queue reaches
+the same stable set partition with less signing but orders the cells
+differently, which would change every certificate, labelling and
+automorphism this module reports.
 
 Automorphisms prune the tree without changing either:
 
@@ -73,35 +90,6 @@ class CanonicalForm:
         return self.data < other.data
 
 
-def _weighted_adjacency(g: Multigraph):
-    weights = [{} for _ in range(g.n)]
-    for u, v in g.edges:
-        weights[u][v] = weights[u].get(v, 0) + 1
-        weights[v][u] = weights[v].get(u, 0) + 1
-    return [tuple(sorted(w.items())) for w in weights]
-
-
-def _refine(verts, wadj, colors):
-    """Stable colour refinement; colors maps vertex -> small int."""
-    while True:
-        sigs = {
-            v: (colors[v], tuple(sorted((colors[u], w) for u, w in wadj[v])))
-            for v in verts
-        }
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new = {v: ranking[sigs[v]] for v in verts}
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _classes(verts, colors):
-    by_color = {}
-    for v in verts:
-        by_color.setdefault(colors[v], []).append(v)
-    return [by_color[c] for c in sorted(by_color)]
-
-
 def _find(parent, i):
     while parent[i] != i:
         parent[i] = parent[parent[i]]
@@ -137,23 +125,97 @@ def orbit_roots(pairs, generators):
 
 
 class _ComponentCanon:
-    def __init__(self, verts, wadj, init_colors, edges):
+    """The search tree of one component, over local ids: x stands for
+    ``verts[x]``.  A node's ordered partition is a pair of lists: col[x] is
+    the start position of x's cell and cells[start] that cell's members in
+    increasing order; an entry of cells at a position no cell starts at is
+    stale.  A node owns its col and cells, but shares the member lists with
+    its parent, so a list is replaced, never changed."""
+
+    def __init__(self, verts, init, edges):
         self.verts = verts
-        self.wadj = wadj
-        self.init_colors = init_colors
-        self.edges = edges
+        self.init = init  # initial colour per local id
+        index = {v: x for x, v in enumerate(verts)}
+        self.edges = [(index[u], index[v]) for u, v in edges]
+        weights = [{} for _ in verts]
+        for a, b in self.edges:
+            weights[a][b] = weights[a].get(b, 0) + 1
+            weights[b][a] = weights[b].get(a, 0) + 1
+        self.wadj = [tuple(w.items()) for w in weights]
+        self.pair_weight = {(a, b): w for a, ws in enumerate(weights) for b, w in ws.items()}
         self.leaves = 0
-        self.first = None  # (cert, lab, path) of the first leaf
+        self.first = None  # (cert, col, path) of the first leaf
         self.best = None  # the same for the first leaf with the least cert
         self.generators = []  # automorphisms found, as sparse dicts
-        self.pair_weight = {}
-        for u in verts:
-            for x, w in wadj[u]:
-                self.pair_weight[(u, x)] = w
 
     def run(self):
-        self._descend(dict(self.init_colors), ())
-        return self.best[:2]
+        """(certificate, labelling, automorphisms) in the graph's vertex ids."""
+        col, cells = self._initial_partition()
+        self._descend(col, cells, range(len(col)), ())
+        cert, col, _ = self.best
+        verts = self.verts
+        lab = {v: col[x] for x, v in enumerate(verts)}
+        generators = [
+            {verts[x]: verts[y] for x, y in gamma.items()} for gamma in self.generators
+        ]
+        return cert, lab, generators
+
+    def _initial_partition(self):
+        """The cells of equal initial colour, in colour order."""
+        by_color = {}
+        for x, c in enumerate(self.init):
+            by_color.setdefault(c, []).append(x)
+        col = [0] * len(self.init)
+        cells = [None] * len(self.init)
+        start = 0
+        for c in sorted(by_color):
+            cells[start] = cell = by_color[c]
+            for x in cell:
+                col[x] = start
+            start += len(cell)
+        return col, cells
+
+    def _refine(self, col, cells, changed):
+        """Refine the ordered partition in place to the stable one; before
+        the first round, ``changed`` holds the vertices of the parts split
+        off (see the module docstring)."""
+        wadj = self.wadj
+        while changed:
+            touched = {col[u] for x in changed for u, _ in wadj[x]}
+            splits = []
+            for start in touched:
+                cell = cells[start]
+                if len(cell) == 1:
+                    continue
+                parts = {}
+                for x in cell:
+                    sig = tuple(sorted([(col[u], w) for u, w in wadj[x]]))
+                    parts.setdefault(sig, []).append(x)
+                if len(parts) > 1:
+                    splits.append((start, [parts[sig] for sig in sorted(parts)]))
+            changed = []
+            for start, parts in splits:
+                largest = max(parts, key=len)
+                for part in parts:
+                    cells[start] = part
+                    for x in part:
+                        col[x] = start
+                    if part is not largest:
+                        changed += part
+                    start += len(part)
+
+    @staticmethod
+    def _individualise(col, cells, v):
+        """A child's partition: v moved to the end of its cell."""
+        col = col[:]
+        cells = cells[:]
+        start = col[v]
+        cell = cells[start]
+        end = start + len(cell) - 1
+        cells[start] = [u for u in cell if u != v]
+        cells[end] = [v]
+        col[v] = end
+        return col, cells
 
     def _mutual_twins(self, cls) -> bool:
         """All members swappable pairwise: equal weighted neighbourhoods
@@ -173,29 +235,26 @@ class _ComponentCanon:
         }
         return len(intra) <= 1
 
-    def _individualise(self, colors, v):
-        split = {u: 2 * colors[u] for u in self.verts}
-        split[v] += 1
-        return split
-
-    def _descend(self, colors, path):
+    def _descend(self, col, cells, changed, path):
         """Search below the node that individualised ``path`` (a tuple of
         vertices).  Returns the depth of the ancestor to jump back to, or
         None when the search goes on normally."""
-        colors = _refine(self.verts, self.wadj, colors)
-        classes = _classes(self.verts, colors)
+        self._refine(col, cells, changed)
         target = None
-        for cls in classes:
-            if len(cls) > 1 and (target is None or len(cls) < len(target)):
-                target = cls
+        start = 0
+        while start < len(col):
+            cell = cells[start]
+            if len(cell) > 1 and (target is None or len(cell) < len(target)):
+                target = cell
+            start += len(cell)
         if target is None:
-            return self._leaf(colors, path)
+            return self._leaf(col, cells, path)
         # Mutual twins are swappable, so the class is an orbit: one branch
         # suffices, and each swap joins the automorphisms found.
         if self._mutual_twins(target):
             v = target[0]
             self.generators += ({v: u, u: v} for u in target[1:])
-            return self._descend(self._individualise(colors, v), path + (v,))
+            return self._descend(*self._individualise(col, cells, v), (v,), path + (v,))
         depth = len(path)
         index = {v: i for i, v in enumerate(target)}
         # Union-find over the class under the generators that fix ``path``
@@ -211,38 +270,38 @@ class _ComponentCanon:
             absorbed = len(self.generators)
             if _find(orbit, i) != i:
                 continue  # an image of an explored sibling's subtree
-            jump = self._descend(self._individualise(colors, v), path + (v,))
+            jump = self._descend(*self._individualise(col, cells, v), (v,), path + (v,))
             if jump is not None and jump < depth:
                 return jump
         return None
 
-    def _leaf(self, colors, path):
+    def _leaf(self, col, cells, path):
         self.leaves += 1
         if self.leaves > _LEAF_BUDGET:
             raise CanonBudgetExceeded(f"canonical search exceeded {_LEAF_BUDGET} leaves")
-        lab = {v: colors[v] for v in self.verts}
         edges = sorted(
-            (lab[u], lab[v]) if lab[u] <= lab[v] else (lab[v], lab[u])
-            for u, v in self.edges
+            (col[a], col[b]) if col[a] <= col[b] else (col[b], col[a])
+            for a, b in self.edges
         )
-        init = tuple(self.init_colors[v] for v in sorted(self.verts, key=lab.get))
-        cert = (len(self.verts), len(self.edges), tuple(edges), init)
+        # the partition is discrete, so its cells list the vertices by label
+        order = [cell[0] for cell in cells]
+        init = tuple(self.init[x] for x in order)
+        cert = (len(col), len(self.edges), tuple(edges), init)
         if self.first is None:
-            self.first = self.best = (cert, lab, path)
+            self.first = self.best = (cert, col, path)
             return None
-        for ref_cert, ref_lab, ref_path in (self.first, self.best):
+        for ref_cert, ref_col, ref_path in (self.first, self.best):
             if cert == ref_cert:
                 # ref and this leaf relabel the graph alike, so gamma is an
-                # automorphism.  Refinement keeps the order of classes, so an
-                # individualised vertex's label is set by its class's place;
+                # automorphism.  Refinement keeps the order of cells, so an
+                # individualised vertex's label is set by its cell's place;
                 # hence gamma maps ref's path onto this one (of equal length)
                 # and fixes their common prefix.  Jump back to where they part.
-                vertex_at = {label: v for v, label in lab.items()}
-                moved = ((v, vertex_at[ref_lab[v]]) for v in self.verts)
-                self.generators.append({v: w for v, w in moved if v != w})
+                moved = ((x, order[ref_col[x]]) for x in range(len(col)))
+                self.generators.append({x: y for x, y in moved if x != y})
                 return next(d for d, (u, w) in enumerate(zip(path, ref_path)) if u != w)
         if cert < self.best[0]:
-            self.best = (cert, lab, path)
+            self.best = (cert, col, path)
         return None
 
 
@@ -277,24 +336,18 @@ def _component_searches(g: Multigraph, dense, memo):
     """Per component of g: (comp, (cert, lab, generators)).
 
     With a ``memo`` dict, a component whose key is already in it is not
-    searched again; the weighted adjacency is built only on a miss.
+    searched again.
     """
-    wadj = None
     out = []
     for comp, comp_edges in _component_edges(g):
-        init = {v: dense[v] for v in comp}
+        init = [dense[v] for v in comp]
         if memo is not None:
-            key = (tuple(comp), tuple(sorted(comp_edges)), tuple(init.values()))
+            key = (tuple(comp), tuple(sorted(comp_edges)), tuple(init))
             hit = memo.get(key)
             if hit is not None:
                 out.append((comp, hit))
                 continue
-        if wadj is None:
-            wadj = _weighted_adjacency(g)
-        search = _ComponentCanon(comp, wadj, init, comp_edges)
-        cert, lab = search.run()
-        # the search object holds the whole graph's wadj: keep only results
-        found = (cert, lab, search.generators)
+        found = _ComponentCanon(comp, init, comp_edges).run()
         if memo is not None:
             memo[key] = found
         out.append((comp, found))
@@ -307,8 +360,8 @@ def canonical_labeling(g: Multigraph, colors=None, memo=None):
     ``colors`` is an optional per-vertex sequence; only the induced partition
     (ordered by value) matters.  ``memo`` is an optional dict of component
     searches shared between calls (see the module docstring).  Raises
-    CanonBudgetExceeded on pathological symmetry and MultigraphError-style
-    ValueError above the size caps.
+    CanonBudgetExceeded on pathological symmetry, and ValueError above the
+    size caps or when ``colors`` does not have one entry per vertex.
     """
     if g.n > _MAX_VERTICES:
         raise ValueError(f"canonical form supports at most {_MAX_VERTICES} vertices")
@@ -317,6 +370,8 @@ def canonical_labeling(g: Multigraph, colors=None, memo=None):
     if colors is None:
         dense = [0] * g.n
     else:
+        if len(colors) != g.n:
+            raise ValueError(f"colors has {len(colors)} entries for {g.n} vertices")
         ranking = {c: i for i, c in enumerate(sorted(set(colors)))}
         dense = [ranking[c] for c in colors]
 

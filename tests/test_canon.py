@@ -22,6 +22,7 @@ from linkgraph.multigraph import Multigraph
 from util import (
     brute_force_vertex_orbits,
     exhaustive_multigraphs,
+    full_round_refinement,
     random_graph_corpus,
     random_tree,
 )
@@ -92,6 +93,57 @@ def test_colors_split_classes():
     assert plain != pointed
     # colouring by partition only: scaled values agree
     assert pointed == canonical_form(g, colors=[9, 2, 2])
+
+
+@pytest.mark.parametrize("colors", [[0], [0] * 5], ids=["short", "long"])
+def test_colors_need_one_entry_per_vertex(colors):
+    with pytest.raises(ValueError, match=f"colors has {len(colors)} entries for 4 vertices"):
+        canonical_labeling(families.cycle(4), colors)
+
+
+def _ordered_cells(col, cells):
+    """The cells of an ordered partition in order; col must agree."""
+    out = []
+    start = 0
+    while start < len(col):
+        cell = cells[start]
+        assert [col[x] for x in cell] == [start] * len(cell)
+        out.append(cell)
+        start += len(cell)
+    return out
+
+
+def _oracle_cells(colors):
+    by_color = {}
+    for v in sorted(colors):
+        by_color.setdefault(colors[v], []).append(v)
+    return [by_color[c] for c in sorted(by_color)]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_refinement_matches_full_rounds(seed, coloured):
+    # the touched-cell rounds reach the full rounds' stable partition, cells
+    # in the same order, at the root and down a path of individualisations
+    rng = random.Random(seed)
+    g = families.random_multigraph(rng, 12, 24)
+    init = [rng.randrange(3) if coloured else 0 for _ in range(g.n)]
+    search = canon._ComponentCanon(list(range(g.n)), init, g.edges)
+    col, cells = search._initial_partition()
+    search._refine(col, cells, range(g.n))
+    colors = full_round_refinement(g, dict(enumerate(init)))
+    assert _ordered_cells(col, cells) == _oracle_cells(colors)
+    for _ in range(3):
+        movable = [v for cell in _ordered_cells(col, cells) if len(cell) > 1 for v in cell]
+        if not movable:
+            break
+        v = rng.choice(movable)
+        col, cells = search._individualise(col, cells, v)
+        search._refine(col, cells, (v,))
+        split = {u: 2 * c for u, c in colors.items()}
+        split[v] += 1
+        colors = full_round_refinement(g, split)
+        assert _ordered_cells(col, cells) == _oracle_cells(colors)
 
 
 def test_vertex_orbits_path():

@@ -50,29 +50,41 @@ def test_bench_record_summarises_runs(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     calls = []
 
-    def run_once(checkout, command, workload, seed, seconds):
-        calls.append((workload, seed, seconds))
+    def run_once(checkout, command, workload, seed, seconds, trace):
+        calls.append((workload, seed, seconds, trace))
         meta = {"src_sha256": "abc", "python": "3", "platform": "p", "nproc": 2}
-        result = {"failed": 0, "metrics": {
-            "wall_s": {"unit": "s", "value": float(seed)},
-            "ok_ratio": {"unit": "ratio", "value": 1.0}}}
-        return meta, result
+        if trace:  # a traced run prints per-layer metrics only
+            metrics = {"canon.self_s": {"unit": "s", "value": seed / 10},
+                       "canon.max_ms": {"unit": "ms", "value": 5.0}}
+        else:
+            metrics = {"wall_s": {"unit": "s", "value": float(seed)},
+                       "ok_ratio": {"unit": "ratio", "value": 1.0}}
+        return meta, {"failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(record, "ROOT", tmp_path)
     monkeypatch.setattr(record, "commit_label", lambda checkout: "abc1234")
     monkeypatch.setattr(record, "run_once", run_once)
-    assert record.main(["--runs", "4"]) == 0
     names = [w["name"] for w in spec["workloads"]]
-    assert calls == [(name, seed, spec["run_seconds"])
-                     for seed in (1, 2, 3, 4) for name in names]
-    out = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
-    assert out["commit"] == "abc1234" and out["runs"] == 4
-    assert out["seconds"] == spec["run_seconds"]
-    assert sorted(out["workloads"]) == sorted(names)
-    for workload in out["workloads"].values():
-        assert workload["wall_s"] == {"unit": "s", "median": 2.5, "q1": 1.75,
-                                      "q3": 3.25, "values": [1.0, 2.0, 3.0, 4.0]}
-        assert workload["ok_ratio"]["median"] == 1.0
+    for traced in (False, True):
+        calls.clear()
+        assert record.main(["--runs", "4"] + ["--trace"] * traced) == 0
+        assert calls == [(name, seed, spec["run_seconds"], trace)
+                         for seed in (1, 2, 3, 4) for name in names
+                         for trace in range(1 + traced)]
+        out = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
+        assert out["commit"] == "abc1234" and out["runs"] == 4
+        assert out["traced"] is traced
+        assert out["seconds"] == spec["run_seconds"]
+        assert sorted(out["workloads"]) == sorted(names)
+        for workload in out["workloads"].values():
+            assert workload["wall_s"] == {"unit": "s", "median": 2.5, "q1": 1.75,
+                                          "q3": 3.25, "values": [1.0, 2.0, 3.0, 4.0]}
+            assert workload["ok_ratio"]["median"] == 1.0
+            if traced:
+                assert workload["canon.self_s"]["values"] == [0.1, 0.2, 0.3, 0.4]
+                assert workload["canon.max_ms"]["median"] == 5.0
+            else:
+                assert "canon.self_s" not in workload
 
 
 def test_benchmark_oracle_catches_wrong_results():

@@ -122,6 +122,26 @@ def brute_force_vertex_orbits(g: Multigraph):
     return sorted(keys.values(), key=lambda orbit: orbit[0])
 
 
+def full_round_refinement(g: Multigraph, colors):
+    """Stable colour refinement that re-signs every vertex each round:
+    colors maps vertex -> int, and the result maps each vertex to the rank
+    of its (colour, sorted (neighbour colour, multiplicity)) signature."""
+    weights = [{} for _ in range(g.n)]
+    for u, v in g.edges:
+        weights[u][v] = weights[u].get(v, 0) + 1
+        weights[v][u] = weights[v].get(u, 0) + 1
+    while True:
+        sigs = {
+            v: (colors[v], tuple(sorted((colors[u], w) for u, w in weights[v].items())))
+            for v in range(g.n)
+        }
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        new = {v: ranking[sigs[v]] for v in range(g.n)}
+        if new == colors:
+            return colors
+        colors = new
+
+
 def brute_force_incident_units(g: Multigraph, ell: int):
     """(vertex set, edge set) of units incident to at least one ell-link.
 
