@@ -128,8 +128,7 @@ class _ComponentCanon:
     """The search tree of one component, over local ids: x stands for
     ``verts[x]``.  A node's ordered partition is a pair of lists: col[x] is
     the start position of x's cell and cells[start] that cell's members in
-    increasing order; an entry of cells at a position no cell starts at is
-    stale.  A node owns its col and cells, but shares the member lists with
+    increasing order, with None where no cell starts.  A node owns its col and cells, but shares the member lists with
     its parent, so a list is replaced, never changed."""
 
     def __init__(self, verts, init, edges):
@@ -142,6 +141,9 @@ class _ComponentCanon:
             weights[a][b] = weights[a].get(b, 0) + 1
             weights[b][a] = weights[b].get(a, 0) + 1
         self.wadj = [tuple(w.items()) for w in weights]
+        # _refine signs a neighbour u of weight w as col[u] * scale + w,
+        # which orders like the pair (col[u], w) since every w < scale
+        self.scale = 1 + max((w for ws in weights for w in ws.values()), default=0)
         self.pair_weight = {(a, b): w for a, ws in enumerate(weights) for b, w in ws.items()}
         self.leaves = 0
         self.first = None  # (cert, col, path) of the first leaf
@@ -180,6 +182,7 @@ class _ComponentCanon:
         the first round, ``changed`` holds the vertices of the parts split
         off (see the module docstring)."""
         wadj = self.wadj
+        scale = self.scale
         while changed:
             touched = {col[u] for x in changed for u, _ in wadj[x]}
             splits = []
@@ -189,7 +192,7 @@ class _ComponentCanon:
                     continue
                 parts = {}
                 for x in cell:
-                    sig = tuple(sorted([(col[u], w) for u, w in wadj[x]]))
+                    sig = tuple(sorted([col[u] * scale + w for u, w in wadj[x]]))
                     parts.setdefault(sig, []).append(x)
                 if len(parts) > 1:
                     splits.append((start, [parts[sig] for sig in sorted(parts)]))
