@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from linkgraph import families
@@ -13,8 +16,9 @@ from linkgraph.construct import (
     provenance_lines,
     shunt_reachable,
 )
-from linkgraph.links import Link, LinkCountExceeded, enumerate_links
+from linkgraph.links import Link, LinkCountExceeded, count_links, enumerate_links
 from linkgraph.multigraph import Multigraph, metrics
+from linkgraph.partition import PartitionedGraph, count_cyclic_components
 
 from util import (
     brute_force_links,
@@ -302,3 +306,70 @@ def test_vertex_order_and_provenance_deterministic():
     assert canonical_form(a.graph) == canonical_form(b.graph)
     rendered = provenance_lines(a)[0]
     assert "\t" in rendered and "-" in rendered
+
+
+def _random_link(rng, g, length):
+    """A random walk of g with distinct consecutive edges, or None when the
+    walk runs into a vertex it can only leave the way it came."""
+    walk = (rng.randrange(g.n),)
+    for _ in range(length):
+        steps = [(e, w) for e, w in g.adjacency[walk[-1]]
+                 if len(walk) == 1 or e != walk[-2]]
+        if not steps:
+            return None
+        walk += rng.choice(steps)
+    return Link(walk)
+
+
+def _pinned_outputs():
+    """One sha256 per kind of construction output over a seeded corpus: 300
+    random multigraphs with parallel edges, redrawn while their 6-link count
+    passes 2000, each at ell = 0..4, with a batch of projected (ell + s)-links
+    for s = 0, 1, 2."""
+    rng = random.Random(20261019)
+    digests = {kind: hashlib.sha256() for kind in
+               ("link", "partitions", "census", "path", "project")}
+
+    def put(kind, value):
+        digests[kind].update(repr(value).encode() + b"\n")
+
+    graphs = 0
+    while graphs < 300:
+        g = families.random_multigraph(rng, 8, 12)
+        if count_links(g, 6) > 2000:
+            continue
+        graphs += 1
+        for ell in range(5):
+            res = link_graph(g, ell)
+            put("link", (res.graph.n, res.graph.edges,
+                         [l.seq for l in res.vertex_provenance],
+                         [q.seq for q in res.edge_provenance]))
+            parts = link_partitions(res)
+            put("partitions", (parts.vertex_parts, parts.edge_parts))
+            census = count_cyclic_components(
+                PartitionedGraph.from_link_graph(res, parts))
+            put("census", (census.cyclic_flags, census.cyclic_count,
+                           census.acyclic_count, sorted(census.degree_set),
+                           census.max_part_degree))
+            paths = path_graph(g, ell)
+            put("path", (paths.graph.n, paths.graph.edges,
+                         [p.seq for p in paths.vertex_provenance],
+                         [(a.seq, b.seq) for a, b in paths.edge_provenance]))
+            for s in (0, 1, 2, 2):
+                r = _random_link(rng, g, ell + s)
+                if r is not None:
+                    projected = project_link(res, r)
+                    put("project", (r.seq, projected.link.seq, projected.closed))
+    return {kind: d.hexdigest()[:16] for kind, d in digests.items()}
+
+
+def test_pinned_construction_digests():
+    # first 16 hex digits of each sha256; any change to ids, edge order,
+    # provenance, parts, census fields or projections moves one of them
+    assert _pinned_outputs() == {
+        "link": "67a95c0e5a8c70f0",
+        "partitions": "53b40835136dc9e5",
+        "census": "e6daf114df2d12bb",
+        "path": "9d4811b52c6aa4fc",
+        "project": "929800ed040b2c4c",
+    }
