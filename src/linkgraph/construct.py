@@ -4,6 +4,15 @@ Vertices of the result are the ell-links of the source in sorted canonical
 order; in link mode each (ell + 1)-link contributes exactly one result edge,
 so parallel source edges surface as parallel result edges.  Full provenance
 maps are kept from result units back to source links.
+
+The ell-links are enumerated once.  Every (ell + 1)-link is an ell-walk
+plus one step that does not take the edge just used (the Hashimoto step),
+so the edges grow from the ell-links: each orientation of each ell-link is
+stepped once more, and a grown walk q is kept when it is smaller than its
+reverse, which finds every (ell + 1)-link once in canonical orientation.
+Its head is the ell-link it grew from and its tail the ell-link q[2:], found
+in an index of both orientations.  An ell-link that extends nowhere is
+still a vertex: it is an isolated vertex of L_ell.
 """
 
 from __future__ import annotations
@@ -15,11 +24,10 @@ from .links import (
     LinkCountExceeded,
     _canonical,
     count_arcs_by_length,
-    enumerate_links,
     is_link_of,
     iter_links,
 )
-from .multigraph import Multigraph, MultigraphError
+from .multigraph import Multigraph, MultigraphError, _check
 
 DEFAULT_MAX_LINKS = 10**6
 
@@ -63,14 +71,6 @@ class LinkPartitions:
     edge_parts: tuple
 
 
-def _group_parts(ids_with_keys):
-    groups = {}
-    for unit_id, key in ids_with_keys:
-        groups.setdefault(key, []).append(unit_id)
-    parts = [tuple(sorted(members)) for members in groups.values()]
-    return tuple(sorted(parts, key=lambda p: p[0]))
-
-
 def link_graph(
     g: Multigraph, ell: int, max_links: int = DEFAULT_MAX_LINKS
 ) -> LinkGraphResult:
@@ -85,26 +85,36 @@ def link_graph(
         )
     if arcs[ell + 1] // 2 > max_links:
         raise LinkCountExceeded(arcs[ell + 1] // 2, max_links)
-    vertices = enumerate_links(g, ell)
-    index = {l.seq: i for i, l in enumerate(vertices)}
-    edge_links = enumerate_links(g, ell + 1)
+    seqs = sorted(iter_links(g, ell))
+    index = {}  # both orientations of each ell-link -> its id
+    for i, seq in enumerate(seqs):
+        index[seq] = index[seq[::-1]] = i
+    adj = g.adjacency
+    grown = []  # (canonical (ell + 1)-link, head id, tail id)
+    for i, seq in enumerate(seqs):
+        for walk in (seq, seq[::-1]) if ell else (seq,):
+            first = walk[0]
+            last_e = walk[-2] if ell else -1
+            for e, w in adj[walk[-1]]:
+                # q < q[::-1] holds when first < w and fails when first > w
+                if e != last_e and first <= w:
+                    q = walk + (e, w)
+                    if first < w or q < q[::-1]:
+                        grown.append((q, i, index[q[2:]]))
+    # the links are distinct, so comparing them alone orders the triples,
+    # and more cheaply than comparing whole triples
+    grown.sort(key=lambda unit: unit[0])
     edges = []
-    for q in edge_links:
-        head = _canonical(q.seq[: 2 * ell + 1])
-        tail = _canonical(q.seq[2:])
-        i, j = index[head], index[tail]
-        if i == j:
-            raise ConstructionError(
-                "internal error: loop produced by a loopless source"
-            )
+    for _, i, j in grown:
+        _check(i != j, "loop produced by a loopless source")
         edges.append((i, j))
     return LinkGraphResult(
-        graph=Multigraph(len(vertices), edges),
+        graph=Multigraph(len(seqs), edges),
         mode="link",
         source=g,
         ell=ell,
-        vertex_provenance=vertices,
-        edge_provenance=edge_links,
+        vertex_provenance=tuple(map(Link._of_canonical, seqs)),
+        edge_provenance=tuple(map(Link._of_canonical, [q for q, _, _ in grown])),
     )
 
 
@@ -117,21 +127,21 @@ def link_partitions(result: LinkGraphResult) -> LinkPartitions:
         vparts = tuple((i,) for i in range(result.graph.n))
         eparts = tuple((i,) for i in range(result.graph.m))
         return LinkPartitions(vparts, eparts)
-    if ell == 1:
-        vkeys = [
-            (i, (min(l.seq[0], l.seq[2]), max(l.seq[0], l.seq[2])))
-            for i, l in enumerate(result.vertex_provenance)
-        ]
-    else:
-        vkeys = [
-            (i, _canonical(l.seq[2:-2]))
-            for i, l in enumerate(result.vertex_provenance)
-        ]
-    ekeys = [
-        (i, _canonical(q.seq[2:-2]))
-        for i, q in enumerate(result.edge_provenance)
+    # a canonical 1-link (u, e, w) has u < w, so its ends key its part
+    vkeys = [
+        l.seq[0::2] if ell == 1 else _canonical(l.seq[2:-2])
+        for l in result.vertex_provenance
     ]
-    return LinkPartitions(_group_parts(vkeys), _group_parts(ekeys))
+    ekeys = [_canonical(q.seq[2:-2]) for q in result.edge_provenance]
+    parts = []
+    for keys in (vkeys, ekeys):
+        # ids are visited in increasing order, so each part comes out
+        # sorted and the parts come out ordered by their smallest id
+        groups = {}
+        for unit_id, key in enumerate(keys):
+            groups.setdefault(key, []).append(unit_id)
+        parts.append(tuple(map(tuple, groups.values())))
+    return LinkPartitions(*parts)
 
 
 def partitioned_link_graph(
@@ -185,7 +195,7 @@ def path_graph(
     if units is None:
         raise LinkCountExceeded(max_links + 1, max_links)
     seqs, pairs = units
-    paths = tuple(Link(s) for s in sorted(seqs))
+    paths = tuple(map(Link._of_canonical, sorted(seqs)))
     index = {p.seq: i for i, p in enumerate(paths)}
     edges = sorted((index[head], index[tail]) for head, tail in pairs)
     return LinkGraphResult(
@@ -232,10 +242,10 @@ def project_link(result: LinkGraphResult, r: Link) -> ProjectedLink:
     for j in range(1, s + 1):
         q = _canonical(seq[2 * (j - 1): 2 * (j - 1) + 2 * ell + 3])
         eid = edge_index[q]
-        if len(out) > 1 and out[-2] == eid:
-            raise ConstructionError(
-                "internal error: projection produced equal consecutive edges"
-            )
+        _check(
+            len(out) == 1 or out[-2] != eid,
+            "projection produced equal consecutive edges",
+        )
         out.append(eid)
         out.append(vertex_ids[j])
     closed = seq[: 2 * ell + 1] == seq[2 * s: 2 * s + 2 * ell + 1]

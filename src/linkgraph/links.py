@@ -41,6 +41,13 @@ class Link:
         if self.seq != _canonical(self.seq):
             object.__setattr__(self, "seq", _canonical(self.seq))
 
+    @classmethod
+    def _of_canonical(cls, seq: tuple) -> "Link":
+        """The link of a sequence already in canonical orientation."""
+        link = object.__new__(cls)
+        link.__dict__["seq"] = seq
+        return link
+
     @property
     def length(self) -> int:
         return len(self.seq) // 2

@@ -7,7 +7,8 @@ can trust its parts.
 
 A cycle of a partitioned graph must have consecutive edges (including the
 wrap-around pair) in different edge parts.  Detection goes through the
-derived digraph whose nodes are (vertex, incident edge part) pairs: a
+derived digraph whose nodes are (vertex, incident edge part) pairs: each
+edge xy of part p gives arcs from (x, p) to every (y, q) with q != p, so a
 component is cyclic exactly when its digraph holds a dicycle.  The census
 peels the digraph, removing nodes of in-degree 0 until none is left (Kahn,
 CACM 1962); a node survives exactly when some dicycle reaches it.  A node
@@ -15,6 +16,14 @@ no dicycle reaches has only acyclic ancestors, so it is removed; a node on
 or after a dicycle always keeps an in-arc from a node that was not removed.
 No arc leaves a component, so a component is cyclic exactly when a node of
 one of its vertices survives.
+
+The census peels without building the digraph's arc list.  Node (y, q)
+holds the far ends of the q-edges at y, and its arcs are implicit: one
+into (y, q) for every edge at y outside part q, so its in-degree is
+deg(y) - deg_q(y), parallel arcs counted.  Parallel arcs do not change
+which nodes a peel removes, since every arc is taken off once for each
+time it was counted.  ``derived_digraph`` still builds the arcs, without
+repeats, for inspection.
 """
 
 from __future__ import annotations
@@ -143,25 +152,36 @@ class ComponentCensus:
 
 
 def count_cyclic_components(pg: PartitionedGraph) -> ComponentCensus:
-    digraph = derived_digraph(pg)
-    out_arcs = [[] for _ in digraph.nodes]
-    indegree = [0] * len(digraph.nodes)
-    for a, b in digraph.arcs:
-        out_arcs[a].append(b)
-        indegree[b] += 1
+    g = pg.graph
+    owner = pg.edge_part_of()
+    node_at = [{} for _ in range(g.n)]  # per vertex: edge part -> node id
+    vertex, part, ends = [], [], []  # per node
+    for e, (u, v) in enumerate(g.edges):
+        p = owner[e]
+        for x, y in ((u, v), (v, u)):
+            node = node_at[x].get(p)
+            if node is None:
+                node = node_at[x][p] = len(ends)
+                vertex.append(x)
+                part.append(p)
+                ends.append([])
+            ends[node].append(y)
+    degree = g.degrees()
+    indegree = [degree[x] - len(far) for x, far in zip(vertex, ends)]
     removed = [i for i, d in enumerate(indegree) if d == 0]
     for a in removed:
-        for b in out_arcs[a]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                removed.append(b)
+        p = part[a]
+        for y in ends[a]:
+            for q, b in node_at[y].items():
+                if q != p:
+                    indegree[b] -= 1
+                    if indegree[b] == 0:
+                        removed.append(b)
     # nodes never removed keep a positive in-degree
-    survivors = {digraph.nodes[i][0] for i, d in enumerate(indegree) if d}
-    flags = [
-        any(v in survivors for v in comp) for comp in pg.graph.components()
-    ]
+    survivors = {vertex[i] for i, d in enumerate(indegree) if d}
+    flags = [any(v in survivors for v in comp) for comp in g.components()]
 
-    dset = degree_set(pg)
+    dset = frozenset(map(len, ends))
     return ComponentCensus(
         cyclic_flags=tuple(flags),
         cyclic_count=sum(flags),

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from linkgraph import families
+from linkgraph import construct, families
 from linkgraph.canon import canonical_form, is_isomorphic
+from linkgraph.cli import main
+from linkgraph.formats import format_multigraph
 from linkgraph.construct import (
     ConstructionError,
     link_graph,
@@ -17,7 +19,7 @@ from linkgraph.construct import (
     shunt_reachable,
 )
 from linkgraph.links import Link, LinkCountExceeded, count_links, enumerate_links
-from linkgraph.multigraph import Multigraph, metrics
+from linkgraph.multigraph import InternalCheckError, Multigraph, metrics
 from linkgraph.partition import PartitionedGraph, count_cyclic_components
 
 from util import (
@@ -51,6 +53,43 @@ def test_link_graph_of_parallel_pair():
     assert res.graph.n == 2
     assert res.graph.m == 2
     assert is_isomorphic(res.graph, families.cycle(2))
+
+
+def assert_links_paired_by_subsequences(g, ell):
+    """The result's units equal the brute-force ell- and (ell + 1)-links,
+    and each edge joins the end ell-subsequences of its (ell + 1)-link."""
+    res = link_graph(g, ell)
+    seqs = [l.seq for l in res.vertex_provenance]
+    assert seqs == sorted(brute_force_links(g, ell))
+    assert [q.seq for q in res.edge_provenance] == sorted(
+        brute_force_links(g, ell + 1))
+    for (i, j), q in zip(res.graph.edges, res.edge_provenance):
+        head = min(q.seq[:-2], q.seq[-3::-1])
+        tail = min(q.seq[2:], q.seq[:1:-1])
+        assert sorted((seqs[i], seqs[j])) == sorted((head, tail))
+    return res
+
+
+@pytest.mark.parametrize("g, ell, isolated", [
+    # the 2-link of the 2-edge path has no 3-link through it
+    (families.path(2).disjoint_union(families.cycle(4)), 2, 1),
+    # the tip-to-tip 4-links of a subdivided claw extend nowhere
+    (families.subdivided_star(3, 2), 3, 0),
+    (families.subdivided_star(3, 2), 4, 3),
+    # a 3-edge tail pasted to the middle of a 4-path: the 4-path itself
+    # ends at two tips, every other 4-link runs into the tail's tip
+    (families.tailed_path(4, 2, 3), 4, 1),
+    (families.cycle(2).disjoint_union(families.path(3)), 3, 1),
+])
+def test_links_that_extend_nowhere_are_isolated_vertices(g, ell, isolated):
+    res = assert_links_paired_by_subsequences(g, ell)
+    assert res.graph.degrees().count(0) == isolated
+
+
+def test_link_graph_at_zero_has_the_source_units():
+    g = Multigraph(5, [(0, 1), (1, 2), (0, 1), (3, 1), (2, 0), (1, 0)])
+    res = assert_links_paired_by_subsequences(g, 0)
+    assert res.graph.n == g.n and sorted(res.graph.edges) == sorted(g.edges)
 
 
 def test_unit_counts_match_link_counts():
@@ -373,3 +412,34 @@ def test_pinned_construction_digests():
         "path": "9d4811b52c6aa4fc",
         "project": "929800ed040b2c4c",
     }
+
+
+class _MisreversedLink(tuple):
+    """A walk whose reverse reads as another walk, as a broken orientation
+    bookkeeping would give."""
+
+    def __getitem__(self, key):
+        if key == slice(None, None, -1):
+            return (1, 1, 2)
+        return tuple.__getitem__(self, key)
+
+
+def test_internal_errors_raise_internal_check_error(monkeypatch, tmp_path, capsys):
+    # the ell-link (0, 0, 1) of the 2-edge path claims (1, 1, 2) as its
+    # reverse, so its 2-link's tail is its head: a loop
+    monkeypatch.setattr(construct, "iter_links",
+                        lambda g, ell: [_MisreversedLink((0, 0, 1))])
+    with pytest.raises(InternalCheckError, match="loop"):
+        link_graph(families.path(2), 1)
+    path = tmp_path / "p2.mg"
+    path.write_text(format_multigraph(families.path(2)), encoding="utf-8")
+    assert main(["link", "-l", "1", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: internal error: InternalCheckError: "
+        "loop produced by a loopless source\n")
+    monkeypatch.undo()
+    # a walk that steps back along its edge, passed off as a link
+    res = link_graph(families.path(1), 0)
+    monkeypatch.setattr(construct, "is_link_of", lambda g, link: True)
+    with pytest.raises(InternalCheckError, match="equal consecutive edges"):
+        project_link(res, Link((0, 0, 1, 0, 0)))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkgraph import families
 from linkgraph.construct import link_graph, partitioned_link_graph
@@ -16,7 +17,12 @@ from linkgraph.partition import (
     partitioned_links,
 )
 
-from util import brute_force_cyclic_flags, parts_per_vertex, random_graph_corpus
+from util import (
+    brute_force_cyclic_flags,
+    kahn_cyclic_flags,
+    parts_per_vertex,
+    random_graph_corpus,
+)
 
 
 def census_of(g, ell) -> ComponentCensus:
@@ -159,6 +165,33 @@ def test_census_matches_walk_oracle_on_random_edge_partitions():
         assert flags == brute_force_cyclic_flags(pg), (g.edges, pg.edge_parts)
         cyclic += sum(flags)
     assert cyclic > 300
+
+
+@st.composite
+def edge_partitioned_graphs(draw):
+    """Small multigraphs, parallel edges frequent, with a random partition
+    of their edges into at most m // 2 + 1 parts and singleton vertex parts."""
+    n = draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=14)) if u != v]
+    labels = draw(st.lists(st.integers(0, len(edges) // 2),
+                           min_size=len(edges), max_size=len(edges)))
+    groups = {}
+    for e, label in enumerate(labels):
+        groups.setdefault(label, []).append(e)
+    g = Multigraph(n, edges)
+    return PartitionedGraph(
+        g, tuple((v,) for v in range(n)), tuple(map(tuple, groups.values()))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_partitioned_graphs())
+def test_census_matches_peel_of_derived_digraph(pg):
+    census = count_cyclic_components(pg)
+    assert census.cyclic_flags == kahn_cyclic_flags(pg)
+    assert census.degree_set == degree_set(pg)
+    assert census.max_part_degree == max(degree_set(pg), default=0)
 
 
 def test_census_rejects_invalid_partition():

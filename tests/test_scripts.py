@@ -43,6 +43,46 @@ def load_script(name):
     return module
 
 
+def test_bench_pairs_alternates_and_counts_wins(monkeypatch, capsys):
+    pairs = load_script("bench_pairs")
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    calls = []
+
+    def run_once(checkout, command, workload, seed, seconds, trace):
+        side = checkout.name
+        calls.append((side, workload, seed, seconds, trace))
+        # the change is faster on every seed but the fifth
+        wall = float(seed) if side == "parent" or seed == 5 else seed - 0.5
+        metrics = {m["name"]: {"unit": m["unit"], "value": 1.0}
+                   for m in spec["end_to_end"]}
+        metrics["wall_s"]["value"] = wall
+        return {}, {"failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs.bench_record, "run_once", run_once)
+    assert pairs.main(["/x/parent", "/x/change", "--workload", "calculus",
+                       "--pairs", "6", "--first-seed", "3"]) == 0
+    assert calls == [
+        (side, "calculus", seed, spec["run_seconds"], 0)
+        for k, seed in enumerate(range(3, 9))
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 + len(spec["end_to_end"])
+    [wall] = [line for line in lines if line.startswith("calculus wall_s")]
+    assert wall == ("calculus wall_s (s, lower is better): parent 5.5 [4.25, 6.75], "
+                    "change 5.25 [3.875, 6.25], -4.5 %, change better in 5/6")
+    [ok] = [line for line in lines if line.startswith("calculus ok_ratio")]
+    assert ok.endswith("+0.0 %, change better in 0/6")
+    # ten pairs won by more than the parent's quartile distance is a gain
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    metric = {"name": "wall_s", "unit": "s", "better": "lower"}
+    assert pairs.compare(metric, parent, [v - 0.5 for v in parent]).endswith(
+        "change better in 10/10, gain")
+    assert not pairs.compare(metric, parent, [v - 0.1 for v in parent]).endswith(
+        "gain")
+
+
 def test_bench_record_summarises_runs(tmp_path, monkeypatch):
     record = load_script("bench_record")
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:

@@ -14,6 +14,7 @@ from linkgraph.canon import canonical_form
 from linkgraph.families import random_multigraph
 from linkgraph.links import count_arcs_by_length
 from linkgraph.multigraph import Multigraph
+from linkgraph.partition import derived_digraph
 
 
 def brute_force_arcs(g: Multigraph, ell: int):
@@ -109,6 +110,29 @@ def brute_force_cyclic_flags(pg):
         }
     heads = {head for _, head in ends}
     return tuple(any(v in heads for v in comp) for comp in g.components())
+
+
+def kahn_cyclic_flags(pg):
+    """Per component of a partitioned graph, ordered by smallest vertex,
+    whether a node of one of its vertices survives Kahn's peel of the arc
+    list that ``derived_digraph`` builds: nodes of in-degree 0 are removed
+    until none is left."""
+    digraph = derived_digraph(pg)
+    out_arcs = [[] for _ in digraph.nodes]
+    indegree = [0] * len(digraph.nodes)
+    for a, b in digraph.arcs:
+        out_arcs[a].append(b)
+        indegree[b] += 1
+    removed = [i for i, d in enumerate(indegree) if d == 0]
+    for a in removed:
+        for b in out_arcs[a]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                removed.append(b)
+    survivors = {digraph.nodes[i][0] for i, d in enumerate(indegree) if d}
+    return tuple(
+        any(v in survivors for v in comp) for comp in pg.graph.components()
+    )
 
 
 def brute_force_vertex_orbits(g: Multigraph):
