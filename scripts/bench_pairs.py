@@ -2,21 +2,21 @@
 """Compare two checkouts on the benchmark by alternating pairs of runs.
 
 Runs the benchmark command of BENCHMARK.json (``perfbench/run.py``,
-unchanged, untraced) in PARENT and in CHANGE as N pairs per workload, at
-the benchmark's own run length.  Pair k uses seed FIRST_SEED + k on both
-sides; the parent runs first in even pairs and the change in odd ones, so
-host drift falls on both sides alike.  Every run's end-to-end metrics are
-printed as it finishes, then for each workload and end-to-end metric:
-each side's median and quartiles, the change of the medians, and in how
-many pairs the change read better (ties count for neither side).  ``gain``
-marks a metric where the change won at least nine tenths of the pairs and
-the medians differ by more than the quartile distance of the parent's
-runs: the rule a claimed speed-up must meet (README, "Scale" and
-``bench_record.py``).
+unchanged, untraced) in PARENT and in CHANGE as ten pairs on each of its
+workloads, at the benchmark's own run length.  Pair k uses seed
+FIRST_SEED + k on both sides; the parent runs first in even pairs and the
+change in odd ones, so host drift falls on both sides alike.  Every run's
+end-to-end metrics are printed as it finishes, then for each workload the
+failed operations of each side and, per end-to-end metric, each side's
+median and quartiles, the change of the medians, and in how many pairs
+the change read better (ties count for neither side).  ``gain`` marks a
+metric where the change won at least nine of the ten pairs, the medians
+differ by more than the quartile distance of the parent's runs, and the
+change failed no more operations than the parent: the rule a claimed
+speed-up must meet (README, "Scale" and ``bench_record.py``).
 
 Usage:
-    python3 scripts/bench_pairs.py PARENT CHANGE [--workload NAME ...]
-                                   [--pairs N] [--first-seed S]
+    python3 scripts/bench_pairs.py PARENT CHANGE [--first-seed S]
 
 Stops with an error when a run fails, and exits 1 when a run reports a
 failed operation.
@@ -24,7 +24,6 @@ failed operation.
 
 import argparse
 import json
-import statistics
 import sys
 from pathlib import Path
 
@@ -33,25 +32,26 @@ import bench_record  # noqa: E402  (the sibling script)
 
 ROOT = bench_record.ROOT
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def quartiles(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return median, q1, q3
+def compare(metric, parent, change, failed):
+    """One summary line of a metric over its paired runs.
 
-
-def compare(metric, parent, change):
-    """One summary line of a metric over its paired runs."""
-    p_med, p_q1, p_q3 = quartiles(parent)
-    c_med, c_q1, c_q3 = quartiles(change)
+    ``failed`` maps each side to the operations its runs failed."""
+    p = bench_record.summary(parent)
+    c = bench_record.summary(change)
     sign = -1 if metric["better"] == "lower" else 1
-    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
-    gain = wins * 10 >= 9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
-    shift = f"{100 * (c_med - p_med) / p_med:+.1f} %" if p_med else "n/a"
+    wins = sum(1 for pv, cv in zip(parent, change) if sign * (cv - pv) > 0)
+    gain = (wins * 10 >= 9 * len(parent)
+            and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]
+            and failed["change"] <= failed["parent"])
+    shift = (f"{100 * (c['median'] - p['median']) / p['median']:+.1f} %"
+             if p["median"] else "n/a")
     return (
         f"{metric['name']} ({metric['unit']}, {metric['better']} is better): "
-        f"parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}], "
-        f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}], {shift}, "
+        f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}], "
+        f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], {shift}, "
         f"change better in {wins}/{len(parent)}" + (", gain" if gain else "")
     )
 
@@ -60,43 +60,37 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable; default all)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 to give quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    for name in args.workload or ():
-        if name not in names:
-            parser.error(f"unknown workload {name!r}; choose from {names}")
-    command = [sys.executable if word in ("python", "python3") else word
-               for word in spec["command"]]
+    command = bench_record.benchmark_command(spec)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    failed = 0
-    for workload in args.workload or names:
+    any_failed = False
+    for workload in (w["name"] for w in spec["workloads"]):
         values = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in SIDES}
-        for k in range(args.pairs):
+        failed = dict.fromkeys(SIDES, 0)
+        for k in range(PAIRS):
             seed = args.first_seed + k
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 _, result = bench_record.run_once(
                     checkouts[side], command, workload, seed,
                     spec["run_seconds"], 0,
                 )
-                failed += result["failed"]
+                failed[side] += result["failed"]
                 for metric, runs in values[side].items():
                     runs.append(result["metrics"][metric]["value"])
                 print(f"{workload} pair {k + 1} seed {seed} {side}: " + " ".join(
                     f"{metric} {runs[-1]:.4g}" for metric, runs in values[side].items()
                 ), flush=True)
+        print(f"{workload} failed operations: parent {failed['parent']}, "
+              f"change {failed['change']}")
+        any_failed = any_failed or any(failed.values())
         for metric in spec["end_to_end"]:
             name = metric["name"]
             print(f"{workload} " + compare(
-                metric, values["parent"][name], values["change"][name]))
-    return 1 if failed else 0
+                metric, values["parent"][name], values["change"][name], failed))
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

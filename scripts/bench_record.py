@@ -64,6 +64,12 @@ def run_once(checkout, command, workload, seed, seconds, trace):
     return json.loads(lines[-2][len("meta "):]), json.loads(lines[-1])
 
 
+def benchmark_command(spec):
+    """BENCHMARK.json's command, run by this interpreter."""
+    return [sys.executable if word in ("python", "python3") else word
+            for word in spec["command"]]
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -83,8 +89,7 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     checkout = args.checkout.resolve()
     label = commit_label(checkout)
-    command = [sys.executable if word in ("python", "python3") else word
-               for word in spec["command"]]
+    command = benchmark_command(spec)
 
     metrics = {w["name"]: {} for w in spec["workloads"]}
     failed = 0

@@ -3,9 +3,12 @@
 A walk of length ell is stored as the interleaved tuple
 (v0, e1, v1, e2, ..., e_ell, v_ell).  An ell-link is a walk identified with
 its reverse and is represented by the lexicographically smaller of the two
-tuples.  ``iter_links`` is the one enumerator: under its step rules it
+tuples.  ``iter_links`` enumerates the ell-links: under its step rules it
 yields the links, the paths (no repeated vertex) and the links of a
 partitioned graph (consecutive edges in different parts).
+``construct.link_graph`` and ``construct.path_units`` grow the
+(ell + 1)-links and (ell + 1)-paths from its ell-units by one more step
+under the same rules.
 ``count_arcs_by_length`` counts directed walks of every length without
 enumerating them.
 """

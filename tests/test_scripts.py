@@ -47,40 +47,58 @@ def test_bench_pairs_alternates_and_counts_wins(monkeypatch, capsys):
     pairs = load_script("bench_pairs")
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         spec = json.load(f)
+    names = [w["name"] for w in spec["workloads"]]
     calls = []
 
     def run_once(checkout, command, workload, seed, seconds, trace):
         side = checkout.name
         calls.append((side, workload, seed, seconds, trace))
-        # the change is faster on every seed but the fifth
-        wall = float(seed) if side == "parent" or seed == 5 else seed - 0.5
+        # the change is four times faster on every seed but the fifth, and
+        # fails one canon-sym operation on the fourth
+        wall = float(seed) if side == "parent" or seed == 5 else seed / 4
+        failed = int(side == "change" and workload == "canon-sym" and seed == 4)
         metrics = {m["name"]: {"unit": m["unit"], "value": 1.0}
                    for m in spec["end_to_end"]}
         metrics["wall_s"]["value"] = wall
-        return {}, {"failed": 0, "metrics": metrics}
+        return {}, {"failed": failed, "metrics": metrics}
 
     monkeypatch.setattr(pairs.bench_record, "run_once", run_once)
-    assert pairs.main(["/x/parent", "/x/change", "--workload", "calculus",
-                       "--pairs", "6", "--first-seed", "3"]) == 0
+    assert pairs.main(["/x/parent", "/x/change", "--first-seed", "3"]) == 1
     assert calls == [
-        (side, "calculus", seed, spec["run_seconds"], 0)
-        for k, seed in enumerate(range(3, 9))
+        (side, name, seed, spec["run_seconds"], 0)
+        for name in names
+        for k, seed in enumerate(range(3, 13))
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))
     ]
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 12 + len(spec["end_to_end"])
-    [wall] = [line for line in lines if line.startswith("calculus wall_s")]
-    assert wall == ("calculus wall_s (s, lower is better): parent 5.5 [4.25, 6.75], "
-                    "change 5.25 [3.875, 6.25], -4.5 %, change better in 5/6")
-    [ok] = [line for line in lines if line.startswith("calculus ok_ratio")]
-    assert ok.endswith("+0.0 %, change better in 0/6")
-    # ten pairs won by more than the parent's quartile distance is a gain
+    assert len(lines) == len(names) * (20 + 1 + len(spec["end_to_end"]))
+    for name in names:
+        [failed] = [line for line in lines
+                    if line.startswith(f"{name} failed operations")]
+        [wall] = [line for line in lines if line.startswith(f"{name} wall_s")]
+        [ok] = [line for line in lines if line.startswith(f"{name} ok_ratio")]
+        expected = ("wall_s (s, lower is better): parent 7.5 [5.25, 9.75], "
+                    "change 2.125 [1.562, 2.688], -71.7 %, change better in 9/10")
+        if name == "canon-sym":  # a gain that fails more operations is none
+            assert failed.endswith("parent 0, change 1")
+            assert wall == f"{name} {expected}"
+        else:
+            assert failed.endswith("parent 0, change 0")
+            assert wall == f"{name} {expected}, gain"
+        assert ok.endswith("+0.0 %, change better in 0/10")
+    # every pair won by more than the parent's quartile distance is a gain,
+    # by less is none, and so is one that fails more operations
     parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
     metric = {"name": "wall_s", "unit": "s", "better": "lower"}
-    assert pairs.compare(metric, parent, [v - 0.5 for v in parent]).endswith(
+    clean = {"parent": 0, "change": 0}
+    assert pairs.compare(metric, parent, [v - 0.5 for v in parent], clean).endswith(
         "change better in 10/10, gain")
-    assert not pairs.compare(metric, parent, [v - 0.1 for v in parent]).endswith(
-        "gain")
+    assert not pairs.compare(metric, parent, [v - 0.1 for v in parent],
+                             clean).endswith("gain")
+    assert pairs.compare(metric, parent, [v - 0.5 for v in parent],
+                         {"parent": 2, "change": 2}).endswith("gain")
+    assert not pairs.compare(metric, parent, [v - 0.5 for v in parent],
+                             {"parent": 2, "change": 3}).endswith("gain")
 
 
 def test_bench_record_summarises_runs(tmp_path, monkeypatch):
