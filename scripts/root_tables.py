@@ -41,8 +41,7 @@ def show(label, root_set, reference=None) -> bool:
     print(f"{label}: {len(root_set)} minimal roots "
           f"({root_set.stats.elapsed_seconds:.2f}s, "
           f"{root_set.stats.explored} states, "
-          f"{root_set.stats.orbit_skipped} orbit-skipped, "
-          f"{root_set.stats.canon_searches} component searches)")
+          f"{root_set.stats.orbit_skipped} orbit-skipped)")
     for record in root_set:
         print(f"    {describe(record.graph)}")
     if reference is not None:

@@ -46,19 +46,8 @@ graphs thus cost a few leaves per orbit of the first path instead of about
 |Aut(G)|; graphs that defeat colour refinement can still take many.  Each
 search gives up after ``_LEAF_BUDGET`` leaves.
 
-A caller that labels many graphs sharing labelled components, as the root
-search does (a child is its parent plus one edge, with the same vertex ids),
-can pass ``canonical_labeling`` and ``automorphism_generators`` one memo
-dict.  It maps a component's exact key (its sorted vertices, sorted edge
-multiset and initial colours) to that component search's certificate,
-labelling and automorphisms; labelling a graph and asking for its
-generators share one entry per component.  The key holds every input the
-component search reads, and the search is deterministic, so a hit returns
-what a fresh search would.  Entries keep no reference to the graph, and the
-memo lives as long as its caller keeps it.
-
-Automorphisms are sparse dicts, from the component search through the memo
-to ``orbit_roots``: gamma[v] is the image of each vertex v that gamma
+Automorphisms are sparse dicts, from the component search to
+``orbit_roots``: gamma[v] is the image of each vertex v that gamma
 moves, and a vertex gamma does not list is fixed.
 """
 
@@ -335,36 +324,21 @@ def _component_edges(g: Multigraph):
     return zip(comps, edges)
 
 
-def _component_searches(g: Multigraph, dense, memo):
-    """Per component of g: (comp, (cert, lab, generators)).
-
-    With a ``memo`` dict, a component whose key is already in it is not
-    searched again.
-    """
-    out = []
-    for comp, comp_edges in _component_edges(g):
-        init = [dense[v] for v in comp]
-        if memo is not None:
-            key = (tuple(comp), tuple(sorted(comp_edges)), tuple(init))
-            hit = memo.get(key)
-            if hit is not None:
-                out.append((comp, hit))
-                continue
-        found = _ComponentCanon(comp, init, comp_edges).run()
-        if memo is not None:
-            memo[key] = found
-        out.append((comp, found))
-    return out
-
-
-def canonical_labeling(g: Multigraph, colors=None, memo=None):
-    """Return (CanonicalForm, labeling) with labeling[v] = canonical id of v.
+def canonical_search(g: Multigraph, colors=None):
+    """Return (CanonicalForm, labeling, generators) from one search per
+    component; labeling[v] is the canonical id of v.
 
     ``colors`` is an optional per-vertex sequence; only the induced partition
-    (ordered by value) matters.  ``memo`` is an optional dict of component
-    searches shared between calls (see the module docstring).  Raises
-    CanonBudgetExceeded on pathological symmetry, and ValueError above the
-    size caps or when ``colors`` does not have one entry per vertex.
+    (ordered by value) matters, and the generators then keep every colour.
+    They are sparse dicts (see the module docstring): per component, in
+    component order, the automorphisms the search that labels it finds,
+    twin swaps included; then, across components, a swap of each two
+    neighbours in certificate order whose certificates are equal.  As in
+    nauty, the automorphisms a search finds generate the group it prunes by,
+    so these generate the whole group; the tests check the vertex orbits
+    they give against a brute force.  Raises CanonBudgetExceeded on
+    pathological symmetry, and ValueError above the size caps or when
+    ``colors`` does not have one entry per vertex.
     """
     if g.n > _MAX_VERTICES:
         raise ValueError(f"canonical form supports at most {_MAX_VERTICES} vertices")
@@ -378,13 +352,14 @@ def canonical_labeling(g: Multigraph, colors=None, memo=None):
         ranking = {c: i for i, c in enumerate(sorted(set(colors)))}
         dense = [ranking[c] for c in colors]
 
-    results = sorted(
-        (
-            (cert, lab, comp)
-            for comp, (cert, lab, _) in _component_searches(g, dense, memo)
-        ),
-        key=lambda r: r[0],
-    )
+    generators = []
+    results = []
+    for comp, comp_edges in _component_edges(g):
+        init = [dense[v] for v in comp]
+        cert, lab, found = _ComponentCanon(comp, init, comp_edges).run()
+        generators += found
+        results.append((cert, lab, comp))
+    results.sort(key=lambda r: r[0])
     labeling = [0] * g.n
     offset = 0
     all_edges = []
@@ -396,12 +371,25 @@ def canonical_labeling(g: Multigraph, colors=None, memo=None):
         all_edges.extend((a + offset, b + offset) for a, b in edges)
         all_colors.extend(init)
         offset += size
+    for (cert_a, lab_a, _), (cert_b, lab_b, _) in zip(results, results[1:]):
+        if cert_a == cert_b:
+            vertex_at = {label: w for w, label in lab_b.items()}
+            swap = {}
+            for v, label in lab_a.items():
+                w = vertex_at[label]
+                swap[v], swap[w] = w, v
+            generators.append(swap)
     form = CanonicalForm(_pack(g.n, g.m, all_edges, all_colors))
-    return form, tuple(labeling)
+    return form, tuple(labeling), generators
+
+
+def canonical_labeling(g: Multigraph, colors=None):
+    """(CanonicalForm, labeling) of ``canonical_search``."""
+    return canonical_search(g, colors)[:2]
 
 
 def canonical_form(g: Multigraph, colors=None) -> CanonicalForm:
-    return canonical_labeling(g, colors)[0]
+    return canonical_search(g, colors)[0]
 
 
 def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
@@ -438,33 +426,9 @@ def verify_isomorphism(g: Multigraph, h: Multigraph, mapping) -> bool:
     return mapped == norm(h.edges)
 
 
-def automorphism_generators(g: Multigraph, memo=None):
-    """Generators of Aut(g) as sparse dicts (see the module docstring).
-
-    Per component, the automorphisms the canonical search that labels it
-    finds, twin swaps included; across components, a swap of each two
-    neighbours in certificate order whose certificates are equal.  As in
-    nauty, the automorphisms a search finds generate the group it prunes by,
-    so these generate all of Aut(g); the tests check the vertex orbits they
-    give against a brute force.  ``memo`` is as for ``canonical_labeling``,
-    and a component labelled through it is not searched again.  The
-    returned dicts are shared with the memo and must not be changed.
-    """
-    generators = []
-    labelled = []
-    for comp, (cert, lab, found) in _component_searches(g, [0] * g.n, memo):
-        generators += found
-        labelled.append((cert, lab))
-    labelled.sort(key=lambda c: c[0])
-    for (cert_a, lab_a), (cert_b, lab_b) in zip(labelled, labelled[1:]):
-        if cert_a == cert_b:
-            vertex_at = {label: w for w, label in lab_b.items()}
-            swap = {}
-            for v, label in lab_a.items():
-                w = vertex_at[label]
-                swap[v], swap[w] = w, v
-            generators.append(swap)
-    return generators
+def automorphism_generators(g: Multigraph):
+    """Generators of Aut(g), as ``canonical_search`` lists them."""
+    return canonical_search(g)[2]
 
 
 def vertex_orbits(g: Multigraph):

@@ -300,10 +300,7 @@ def main(argv=None) -> int:
     try:
         _check_values(args)
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FormatError, MultigraphError, RecipeError, ValueError) as err:
+    except (OSError, FormatError, MultigraphError, RecipeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (

@@ -41,12 +41,6 @@ non-bridge edge if there is one, else a pendant edge and its leaf.
 
 Non-monotone conditions (cyclic-component count, minimality, the final
 isomorphism) are checked on complete candidates only.
-
-One search shares a component memo between its canonical labellings and
-automorphism generators (see ``canon``), so a graph labelled as a child is
-not searched again for its generators when it is expanded.  The memo is
-dropped when the search returns; ``SearchStats.canon_searches`` is its
-size.
 """
 
 from __future__ import annotations
@@ -58,9 +52,8 @@ from dataclasses import dataclass, field, replace
 
 from .canon import (
     CanonicalForm,
-    automorphism_generators,
     canonical_form,
-    canonical_labeling,
+    canonical_search,
     find_isomorphism,
     orbit_roots,
     verify_isomorphism,
@@ -150,9 +143,7 @@ class SearchStats:
     """Counters of one root search.
 
     A target searched block by block counts the sum over its block
-    searches, except ``accepted``, the number of roots of the target, and
-    ``canon_searches``, the component searches of the one memo the blocks
-    share.
+    searches, except ``accepted``, the number of roots of the target.
     """
 
     candidates_generated: int = 0
@@ -164,7 +155,6 @@ class SearchStats:
     parent_rejected: int = 0
     explored: int = 0
     accepted: int = 0
-    canon_searches: int = 0
     elapsed_seconds: float = 0.0
 
 
@@ -371,7 +361,7 @@ def _proposals(g, target) -> list:
     return proposals
 
 
-def _orderly_search(targets, stats, memo, deadline, unions=None):
+def _orderly_search(targets, stats, deadline, unions=None):
     """Grow the connected candidates of every target, one edge level at a
     time for all of them together; with ``unions``, check the unions of
     their roots with m edges once level m is grown, up to ``unions.max_m``.
@@ -382,15 +372,16 @@ def _orderly_search(targets, stats, memo, deadline, unions=None):
     accepted = [{} for _ in targets]
     empty = Multigraph(0)
     cert = canonical_form(empty)
-    # (target index, certificate) -> [graph, certificate, sizes, index of the last parent]
+    # (target index, certificate) ->
+    #     [graph, certificate, sizes, index of the last parent, Aut(graph) generators]
     level = {
-        (t, cert.data): [empty, cert, target.measure(empty), 0]
+        (t, cert.data): [empty, cert, target.measure(empty), 0, []]
         for t, target in enumerate(targets)
     }
     m = 0
     while level or (unions is not None and m <= unions.max_m):
         following = {}
-        for index, ((t, key), (g, cert, sizes, _)) in enumerate(level.items()):
+        for index, ((t, key), (g, cert, sizes, _, generators)) in enumerate(level.items()):
             stats.explored += 1
             if _past(deadline):
                 return accepted, m
@@ -402,7 +393,7 @@ def _orderly_search(targets, stats, memo, deadline, unions=None):
                 continue
             proposals = _proposals(g, target)
             # One proposal per orbit of Aut(g); new vertices are fixed points.
-            firsts = orbit_roots(proposals, automorphism_generators(g, memo))
+            firsts = orbit_roots(proposals, generators)
             for i, (u, v) in enumerate(proposals):
                 if firsts[i] != i:
                     stats.orbit_skipped += 1
@@ -413,10 +404,12 @@ def _orderly_search(targets, stats, memo, deadline, unions=None):
                 if child_sizes is None:
                     stats.pruned += 1
                     continue
-                child_cert = canonical_labeling(child, memo=memo)[0]
+                child_cert, _, child_generators = canonical_search(child)
                 entry = following.get((t, child_cert.data))
                 if entry is None:
-                    following[t, child_cert.data] = [child, child_cert, child_sizes, index]
+                    following[t, child_cert.data] = [
+                        child, child_cert, child_sizes, index, child_generators
+                    ]
                 elif entry[3] == index:
                     stats.duplicates += 1
                 else:
@@ -547,19 +540,17 @@ def _search(target_class, h, ell, options):
     )
     stats = SearchStats()
     start = time.monotonic()
-    memo = {}
     whole = target_class(h, ell, bounds, options)
     if options.connected_only or len(h.components()) == 1:
-        accepted, stopped = _orderly_search([whole], stats, memo, deadline)
+        accepted, stopped = _orderly_search([whole], stats, deadline)
         roots = accepted[0]
     else:
         total, blocks, targets = _block_targets(target_class, h, ell, options)
         unions = _Unions(whole, total, blocks, targets)
-        _, stopped = _orderly_search(targets, stats, memo, deadline, unions)
+        _, stopped = _orderly_search(targets, stats, deadline, unions)
         roots = unions.roots
     stats.elapsed_seconds = time.monotonic() - start
     stats.accepted = len(roots)
-    stats.canon_searches = len(memo)
     root_set = RootSet(
         target=h,
         ell=ell,

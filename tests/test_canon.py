@@ -226,35 +226,6 @@ def test_automorphism_generators_are_automorphisms(kind, seed):
             assert verify_isomorphism(h, h, full), (h, gamma)
 
 
-@given(st.sampled_from(["random", "forest", "twins"]), st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_component_memo_matches_fresh_searches(kind, seed):
-    # a chain of one-edge children, as the root search makes them, labelled
-    # plain and coloured through one memo; every answer must be the
-    # memo-less one
-    rng = random.Random(seed)
-    if kind == "random":
-        g = families.random_multigraph(rng, 7, 10)
-    elif kind == "forest":
-        g = _forest_of_copies(rng)
-    else:
-        g = _twin_class(rng)
-    g = _shuffled(g, rng)
-    memo = {}
-    for _ in range(6):
-        colors = [rng.randrange(2) for _ in range(g.n)]
-        assert canonical_labeling(g, memo=memo) == canonical_labeling(g)
-        assert canonical_labeling(g, colors, memo=memo) == canonical_labeling(g, colors)
-        assert automorphism_generators(g, memo) == automorphism_generators(g)
-        if g.m and rng.random() < 0.3:
-            u, v = g.edges[rng.randrange(g.m)]  # a parallel edge
-        else:
-            # v = g.n + 1 also adds vertex g.n, isolated unless u is g.n
-            u = rng.randrange(g.n + 1)
-            v = rng.choice([w for w in range(g.n + 2) if w != u])
-        g = g.add_edge(u, v)
-
-
 def test_iso_spots_subtle_trees():
     # two non-isomorphic trees with equal degree sequences
     t1 = Multigraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)])
@@ -453,22 +424,6 @@ def test_golden_random_corpus_digest():
         generators.update(_generators_bytes(g))
     assert (labels.hexdigest()[:16], generators.hexdigest()[:16]) == (
         "f9e4714be4d166db", "77a005a3221bdb95")
-
-
-@pytest.mark.parametrize(
-    "g",
-    [
-        families.path(3).disjoint_union(families.star(3)).disjoint_union(families.path(1)),
-        families.path(2).disjoint_union(families.cycle(4)),
-    ],
-    ids=["forest", "tree+cycle"],
-)
-def test_labelling_and_generators_share_the_memo(g):
-    # one component search per component serves both callers
-    memo = {}
-    canonical_labeling(g, memo=memo)
-    automorphism_generators(g, memo)
-    assert len(memo) == len(g.components())
 
 
 def test_automorphism_pruning_bounds_leaves(monkeypatch):

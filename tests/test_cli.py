@@ -288,6 +288,19 @@ def test_usage_errors(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_io_errors_are_input_errors(tmp_path, capsys):
+    # an unreadable input or an unusable --outdir exits 2 with one line
+    path = write_graph(tmp_path, "c5.mg", families.cycle(5))
+    for argv in (
+        ["canon", str(tmp_path)],
+        ["roots", "-l", "2", path, "--outdir", path],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "internal error" not in err, err
+
+
 def test_negative_ell_rejected(tmp_path, capsys):
     path = write_graph(tmp_path, "a.mg", families.cycle(3))
     assert main(["link", "-l", "-1", path]) == 2

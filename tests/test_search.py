@@ -488,17 +488,8 @@ def test_forged_witness_caught_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_search_state_freed_without_cyclic_gc(monkeypatch):
-    # a finished search leaves no reference cycle holding its labellings,
-    # and nothing but the spy below holds its component memo
-    memos = []
-    labeling = search_module.canonical_labeling
-
-    def spy(g, memo=None):
-        memos.append(memo)
-        return labeling(g, memo=memo)
-
-    monkeypatch.setattr(search_module, "canonical_labeling", spy)
+def test_search_state_freed_without_cyclic_gc():
+    # a finished search leaves no reference cycle holding its labellings
     gc.collect()
     gc.disable()
     try:
@@ -506,16 +497,36 @@ def test_search_state_freed_without_cyclic_gc(monkeypatch):
             (minimal_link_roots, families.cycle(5)),
             (minimal_path_roots, families.cycle(3)),
         ):
-            memos.clear()
             assert len(search(h, 2)) >= 1
             assert gc.collect() == 0, search.__name__
-            memo = memos[0]
-            assert memo and all(m is memo for m in memos)
-            memos.clear()
-            assert sys.getrefcount(memo) == 2, search.__name__  # memo + argument
-            del memo
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "search, h, ell",
+    [
+        (minimal_link_roots, families.cycle(5), 3),
+        (minimal_link_roots, families.empty_graph(2), 6),  # a block search
+        (minimal_path_roots, families.path(2), 3),
+    ],
+    ids=["R_3(C5)", "R_6(2K1)", "Q_3(P2)"],
+)
+def test_each_child_is_labelled_once(monkeypatch, search, h, ell):
+    # the child's labelling also gives its generators, so an explored
+    # parent is not labelled again; the accept path labels through
+    # canonical_form, which this spy does not see
+    calls = []
+    labelling = search_module.canonical_search
+
+    def spy(g, colors=None):
+        calls.append(g)
+        return labelling(g, colors)
+
+    monkeypatch.setattr(search_module, "canonical_search", spy)
+    stats = search(h, ell).stats
+    assert stats.explored > 1
+    assert len(calls) == stats.candidates_generated - stats.pruned
 
 
 # The benchmark's ten root searches.  The first tuple is what the search
