@@ -3,10 +3,10 @@
 
 Covers Whitney's pair for the triangle, the cycle-root table, the
 empty-pair family, and (with --slow) the larger link-root searches R_3(C6),
-R_4(C12), R_5(C8), R_6(C8) (the t = 4s, ell >= 2s + 1 branch of the cycle
-table) and R_7(2K1), each checked against its closed form, and the full
-minimal 3-path-root set of the 4-cycle, which the closed forms do not
-cover.
+R_4(C12), R_5(C12), R_5(C8), R_6(C8) (the last two on the t = 4s,
+ell >= 2s + 1 branch of the cycle table) and R_7(2K1), each checked
+against its closed form, and the full minimal 3-path-root set of the
+4-cycle, which the closed forms do not cover.
 
 Usage:
     python3 scripts/root_tables.py [--slow]
@@ -54,8 +54,8 @@ def show(label, root_set, reference=None) -> bool:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--slow", action="store_true",
-                        help="include R_3(C6), R_4(C12), R_5(C8), R_6(C8), "
-                             "R_7(2K1) and the exhaustive Q_3(C4) run")
+                        help="include R_3(C6), R_4(C12), R_5(C12), R_5(C8), "
+                             "R_6(C8), R_7(2K1) and the exhaustive Q_3(C4) run")
     args = parser.parse_args()
 
     agree = True
@@ -79,7 +79,7 @@ def main():
         show(f"Q_{ell}(K2)", minimal_path_roots(families.path(1), ell))
 
     if args.slow:
-        for t, ell in ((6, 3), (12, 4), (8, 5), (8, 6)):
+        for t, ell in ((6, 3), (12, 4), (12, 5), (8, 5), (8, 6)):
             agree &= show(
                 f"R_{ell}(C{t})",
                 minimal_link_roots(

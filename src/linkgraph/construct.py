@@ -17,7 +17,9 @@ still a vertex: it is an isolated vertex of L_ell.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .links import (
     Link,
@@ -48,19 +50,15 @@ class LinkGraphResult:
     edge_provenance: tuple  # link mode: (ell+1)-link; path mode: pair of paths
 
     def vertex_of(self, link: Link) -> int:
-        try:
-            return self._index("vertex_provenance")[link.seq]
-        except KeyError:
-            raise ConstructionError(f"{link} is not a vertex of this result")
+        return _unit_id(self.vertex_provenance, link.seq, "a vertex")
 
-    def _index(self, provenance: str):
-        """Lazy map from link sequence to id over a provenance tuple of links."""
-        attr = f"_idx_{provenance}"
-        cache = getattr(self, attr, None)
-        if cache is None:
-            cache = {l.seq: i for i, l in enumerate(getattr(self, provenance))}
-            object.__setattr__(self, attr, cache)
-        return cache
+
+def _unit_id(units, seq: tuple, what: str) -> int:
+    """The id of the link ``seq`` among ``units``, links sorted by sequence."""
+    i = bisect_left(units, seq, key=attrgetter("seq"))
+    if i == len(units) or units[i].seq != seq:
+        raise ConstructionError(f"{Link(seq)} is not {what} of this result")
+    return i
 
 
 @dataclass(frozen=True)
@@ -234,14 +232,17 @@ def project_link(result: LinkGraphResult, r: Link) -> ProjectedLink:
         raise ConstructionError(f"{r} is not an (ell + s)-link of the source")
     seq = r.seq
     vertex_ids = [
-        result.vertex_of(Link(_canonical(seq[2 * i: 2 * i + 2 * ell + 1])))
+        _unit_id(
+            result.vertex_provenance,
+            _canonical(seq[2 * i: 2 * i + 2 * ell + 1]),
+            "a vertex",
+        )
         for i in range(s + 1)
     ]
-    edge_index = result._index("edge_provenance")
     out = [vertex_ids[0]]
     for j in range(1, s + 1):
         q = _canonical(seq[2 * (j - 1): 2 * (j - 1) + 2 * ell + 3])
-        eid = edge_index[q]
+        eid = _unit_id(result.edge_provenance, q, "an edge")
         _check(
             len(out) == 1 or out[-2] != eid,
             "projection produced equal consecutive edges",

@@ -10,7 +10,8 @@ partitioned graph (consecutive edges in different parts).
 (ell + 1)-links and (ell + 1)-paths from its ell-units by one more step
 under the same rules.
 ``count_arcs_by_length`` counts directed walks of every length without
-enumerating them.
+enumerating them; ``_walk_tables`` also counts them per end vertex, for
+the root search's bound.
 """
 
 from __future__ import annotations
@@ -131,11 +132,18 @@ def iter_links(g: Multigraph, ell: int, distinct: bool = False, owner=None):
                 stack.append(seq + (e, w))
 
 
-def count_arcs_by_length(g: Multigraph, max_len: int):
-    """Counts of ell-arcs for ell = 0..max_len via dynamic programming."""
+def _walk_tables(g: Multigraph, max_len: int):
+    """(counts, ends): counts[k] is the number of k-arcs of g for
+    k = 0..max_len, and ends[k][x] the number of them ending at x for
+    k < max_len, which by reversal also counts those starting at x.
+
+    One dynamic programme over the directed edges, one Hashimoto step per
+    length (Hashimoto, "Zeta functions of finite graphs", 1989).
+    """
     counts = [g.n]
     if max_len == 0:
-        return counts
+        return counts, []
+    ends = [[1] * g.n]
     # state: number of arcs of the current length ending with directed edge
     # (eid, head); indexed as 2*eid + (0 if head is the smaller endpoint).
     cur = [1] * (2 * g.m)
@@ -146,6 +154,7 @@ def count_arcs_by_length(g: Multigraph, max_len: int):
         for eid, (u, v) in enumerate(g.edges):
             into[u] += cur[2 * eid]
             into[v] += cur[2 * eid + 1]
+        ends.append(into)
         nxt = [0] * (2 * g.m)
         for v in range(g.n):
             base = into[v]
@@ -157,7 +166,12 @@ def count_arcs_by_length(g: Multigraph, max_len: int):
                 nxt[k] += base - cur[k ^ 1]
         cur = nxt
         counts.append(sum(cur))
-    return counts
+    return counts, ends
+
+
+def count_arcs_by_length(g: Multigraph, max_len: int):
+    """Counts of ell-arcs for ell = 0..max_len via dynamic programming."""
+    return _walk_tables(g, max_len)[0]
 
 
 def count_links(g: Multigraph, ell: int) -> int:

@@ -258,18 +258,23 @@ def _girth(g: Multigraph) -> float:
     return best
 
 
+def component_census(g: Multigraph):
+    """(component count, cyclic component count) of g; a component is
+    cyclic when it has at least as many edges as vertices."""
+    comps = g.components()
+    comp_of = [0] * g.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    surplus = [-len(comp) for comp in comps]  # edges minus vertices
+    for u, _v in g.edges:
+        surplus[comp_of[u]] += 1
+    return len(comps), sum(1 for s in surplus if s >= 0)
+
+
 def metrics(g: Multigraph) -> GraphMetrics:
     """Eccentricities, diameter, radius, girth and component census of g."""
-    comps = g.components()
-    c = len(comps)
-    comp_root = {}
-    for comp in comps:
-        for v in comp:
-            comp_root[v] = comp[0]
-    edge_count = dict.fromkeys((comp[0] for comp in comps), 0)
-    for u, _v in g.edges:
-        edge_count[comp_root[u]] += 1
-    o = sum(1 for comp in comps if edge_count[comp[0]] >= len(comp))
+    c, o = component_census(g)
     a = c - o
 
     if c == 1 and g.n > 0:

@@ -15,6 +15,9 @@ proposal of each orbit is tried (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998); the first proposal giving a child class
 is always tried, so the same children are reached as without the orbits,
 and a generating set that missed part of the group would only cost time.
+In link mode the parent's walk counts also bound each child's from below,
+so most children over the target's sizes are skipped before they are
+built, and counted as pruned like those measured.
 
 The ell-link graph and the ell-path graph of a disjoint union are the
 disjoint unions of those of its parts.  For ell >= 1 every vertex of a
@@ -49,12 +52,13 @@ import itertools
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 from .canon import (
     CanonicalForm,
     canonical_form,
+    canonical_labeling,
     canonical_search,
-    find_isomorphism,
     orbit_roots,
     verify_isomorphism,
 )
@@ -68,12 +72,13 @@ from .families import cycle as cycle_graph
 from .families import middle_joined_paths, path as path_graph_family
 from .families import subdivided_star, tailed_path
 from .incidence import is_l_minimal
-from .links import count_arcs_by_length, iter_links
+from .links import _walk_tables, count_arcs_by_length, iter_links
 from .multigraph import (
     InternalCheckError,  # raised by the checks below; callers catch it here
     Multigraph,
     MultigraphError,
     _check,
+    component_census,
     metrics,
     tree_split,
 )
@@ -110,8 +115,7 @@ def compute_bounds(h: Multigraph, ell: int) -> SearchBounds:
     """Size, order and degree limits every minimal ell-root must satisfy."""
     if ell < 1:
         raise MultigraphError("bounds are defined for ell >= 1")
-    m = metrics(h)
-    c = m.component_count
+    c, cyclic = component_census(h)
     return SearchBounds(
         ell=ell,
         max_m=ell * h.n,
@@ -119,7 +123,7 @@ def compute_bounds(h: Multigraph, ell: int) -> SearchBounds:
         max_degree=max(c, h.max_degree()) + 1,
         required_link_count=h.n,
         required_super_link_count=h.m,
-        max_cyclic_components=m.cyclic_component_count,
+        max_cyclic_components=cyclic,
     )
 
 
@@ -144,6 +148,8 @@ class SearchStats:
 
     A target searched block by block counts the sum over its block
     searches, except ``accepted``, the number of roots of the target.
+    ``pruned`` counts the children over the target's sizes; in link mode
+    most are skipped on the parent's walk counts before they are built.
     """
 
     candidates_generated: int = 0
@@ -212,16 +218,27 @@ def _audit_link_root(g: Multigraph, h: Multigraph, ell: int, result):
 
 
 def _audit_path_root(g: Multigraph, h: Multigraph, ell: int, result):
-    c = metrics(h).component_count
+    c = component_census(h)[0]
     _check(g.m <= ell * h.n, "path-root size bound violated")
     _check(g.n <= ell * h.n + c, "path-root order bound violated")
 
 
-def _verified_witness(graph: Multigraph, h: Multigraph) -> dict:
-    """An isomorphism graph -> h, checked edge by edge."""
-    witness = find_isomorphism(graph, h)
+def _labelled(h: Multigraph):
+    """The canonical form of h and the vertex of h at each canonical label."""
+    form, labelling = canonical_labeling(h)
+    return form, sorted(range(h.n), key=labelling.__getitem__)
+
+
+def _witness(graph: Multigraph, h: Multigraph, h_form, h_vertex_at):
+    """The isomorphism graph -> h that the canonical labellings of both
+    give, checked edge by edge; None when the canonical forms differ.
+    ``h_form`` and ``h_vertex_at`` are ``_labelled(h)``."""
+    form, labelling = canonical_labeling(graph)
+    if form != h_form:
+        return None
+    witness = {v: h_vertex_at[label] for v, label in enumerate(labelling)}
     _check(
-        witness is not None and verify_isomorphism(graph, h, witness),
+        verify_isomorphism(graph, h, witness),
         "isomorphism witness failed verification",
     )
     return witness
@@ -235,18 +252,23 @@ class _Target:
     grow with g, so that prunes every supergraph of g too.  Each mode also
     supplies ``complete(g)``, its minimality test on a graph of the right
     sizes, ``build(g)``, the construction, and ``audit``, the bound lemmas
-    every root it returns must satisfy.
+    every root it returns must satisfy.  ``crossing_prune(g, sizes)`` may
+    give a test that skips, before it is built, a child g + uv that
+    ``measure`` would prune.
     """
 
     def __init__(self, h, ell, bounds, options):
         self.h = h
         self.ell = ell
         self.bounds = bounds
-        self.h_cert = canonical_form(h)
+        self.h_form, self.h_vertex_at = _labelled(h)
         self.required = (
             bounds.required_link_count,
             bounds.required_super_link_count,
         )
+
+    def crossing_prune(self, g: Multigraph, sizes):
+        return None
 
     def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
         if sizes != self.required:
@@ -254,11 +276,34 @@ class _Target:
         if not self.complete(g):
             return None
         result = self.build(g)
-        if canonical_form(result.graph) != self.h_cert:
+        witness = _witness(result.graph, self.h, self.h_form, self.h_vertex_at)
+        if witness is None:
             return None
-        witness = _verified_witness(result.graph, self.h)
         self.audit(g, self.h, self.ell, result)
         return RootRecord(graph=g, canonical=cert, witness=witness)
+
+
+def _links_gained(g: Multigraph, ell: int):
+    """Lower bounds on the ell- and (ell + 1)-links that g + uv has and g
+    has not, as a function of (u, v); v = g.n is a new vertex.
+
+    They count the links that cross uv once, from u to v: an arc of g
+    ending at u, then uv, then an arc of g from v, ell - 1 (ell) long
+    together.  With W[k][x] the k-arcs of g ending (by reversal, starting)
+    at x, and W = (1, 0, ..., 0) at a new vertex, they number the sums of
+    W[i][u] W[ell-1-i][v] over i < ell and of W[i][u] W[ell-i][v] over
+    i <= ell.  Links crossing uv twice are not counted, not even for a
+    pendant uv: out of v, round a closed walk through u, and back.
+    """
+    columns = list(zip(*_walk_tables(g, ell + 1)[1]))  # columns[x][k] = W[k][x]
+    columns.append((1,) + (0,) * ell)
+    backwards = [column[::-1] for column in columns]
+
+    def gained(u, v):
+        a, b = columns[u], backwards[v]
+        return sum(map(mul, a, b[1:])), sum(map(mul, a, b))
+
+    return gained
 
 
 class _LinkTarget(_Target):
@@ -283,8 +328,21 @@ class _LinkTarget(_Target):
             return None
         return links, super_links
 
+    def crossing_prune(self, g: Multigraph, sizes):
+        if g.n == 0:
+            return None
+        gained = _links_gained(g, self.ell)
+        spare_links = self.required[0] - sizes[0]
+        spare_super_links = self.required[1] - sizes[1]
+
+        def exceeds(u, v):
+            links, super_links = gained(u, v)
+            return links > spare_links or super_links > spare_super_links
+
+        return exceeds
+
     def complete(self, g: Multigraph) -> bool:
-        if metrics(g).cyclic_component_count > self.bounds.max_cyclic_components:
+        if component_census(g)[1] > self.bounds.max_cyclic_components:
             return False
         return is_l_minimal(g, self.ell)
 
@@ -394,11 +452,15 @@ def _orderly_search(targets, stats, deadline, unions=None):
             proposals = _proposals(g, target)
             # One proposal per orbit of Aut(g); new vertices are fixed points.
             firsts = orbit_roots(proposals, generators)
+            exceeds = target.crossing_prune(g, sizes)
             for i, (u, v) in enumerate(proposals):
                 if firsts[i] != i:
                     stats.orbit_skipped += 1
                     continue
                 stats.candidates_generated += 1
+                if exceeds is not None and exceeds(u, v):
+                    stats.pruned += 1
+                    continue
                 child = g.add_edge(u, v)
                 child_sizes = target.measure(child)
                 if child_sizes is None:
@@ -503,10 +565,12 @@ class _Unions:
 
 
 def _trivial_rootset(h, ell, mode, graphs):
+    h_form, h_vertex_at = _labelled(h)
     records = []
     for g in graphs:
         result = link_graph(g, ell) if mode == "link" else path_graph(g, ell)
-        witness = _verified_witness(result.graph, h)
+        witness = _witness(result.graph, h, h_form, h_vertex_at)
+        _check(witness is not None, "isomorphism witness failed verification")
         records.append(
             RootRecord(graph=g, canonical=canonical_form(g), witness=witness)
         )

@@ -9,6 +9,7 @@ from linkgraph.construct import ConstructionError, link_graph, path_units
 from linkgraph.links import (
     Link,
     LinkCountExceeded,
+    _walk_tables,
     count_arcs_by_length,
     count_links,
     enumerate_links,
@@ -119,9 +120,14 @@ def test_arcs_double_links():
 def test_count_matches_enumeration():
     for g in random_graph_corpus(seed=11, count=30, max_n=6, max_m=9):
         counts = count_arcs_by_length(g, 4)
+        ends = _walk_tables(g, 4)[1]
+        assert len(ends) == 4
         for ell in range(5):
-            assert counts[ell] == len(brute_force_arcs(g, ell))
+            arcs = brute_force_arcs(g, ell)
+            assert counts[ell] == len(arcs)
             assert count_links(g, ell) == len(brute_force_links(g, ell))
+            if ell < 4:
+                assert ends[ell] == [sum(a[-1] == x for a in arcs) for x in range(g.n)]
 
 
 @given(small_graphs())

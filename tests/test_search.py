@@ -14,6 +14,7 @@ from linkgraph import families
 from linkgraph.canon import canonical_form, is_isomorphic
 from linkgraph.construct import link_graph, path_graph
 from linkgraph.incidence import is_l_minimal
+from linkgraph.links import count_links
 from linkgraph.multigraph import Multigraph
 from linkgraph import search as search_module
 from linkgraph.search import (
@@ -445,9 +446,18 @@ def test_forged_witness_caught_under_optimize():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        find_isomorphism = search.find_isomorphism
+        canonical_labeling = search.canonical_labeling
+        link_graph = search.link_graph
         sequence_girth = incidence._sequence_girth
-        search.find_isomorphism = lambda g, h: {v: 0 for v in range(g.n)}
+
+        def forged(g, colors=None):
+            # the right form with every vertex at label 0, so the witness
+            # composed from two labellings is no bijection; K2 and 2K1,
+            # below, have every bijection as an automorphism, so no
+            # permuted labelling could fail the check on them
+            return canonical_labeling(g, colors)[0], (0,) * g.n
+
+        search.canonical_labeling = forged
         incidence._sequence_girth = lambda items: 0
         runs = {
             "link search": lambda: search.minimal_link_roots(families.cycle(4), 1),
@@ -464,14 +474,23 @@ def test_forged_witness_caught_under_optimize():
                 continue
             sys.exit(name + " passed a forged check")
 
-        # forge only the witnesses of the whole target, which the block
-        # searches never see: each union of block roots is checked
+        # forge only the labellings of the unions' link graphs, which the
+        # block searches never see: each union of block roots is checked
         incidence._sequence_girth = sequence_girth
-        target = families.empty_graph(2)
-        search.find_isomorphism = lambda g, h: (
-            {v: 0 for v in range(g.n)} if h is target else find_isomorphism(g, h))
+        unions = []
+
+        def spy(g, ell):
+            result = link_graph(g, ell)
+            if len(g.components()) > 1:
+                unions.append(result.graph)
+            return result
+
+        search.link_graph = spy
+        search.canonical_labeling = lambda g, colors=None: (
+            forged(g) if any(g is u for u in unions)
+            else canonical_labeling(g, colors))
         try:
-            search.minimal_link_roots(target, 3)
+            search.minimal_link_roots(families.empty_graph(2), 3)
         except search.InternalCheckError:
             pass
         else:
@@ -515,7 +534,7 @@ def test_search_state_freed_without_cyclic_gc():
 def test_each_child_is_labelled_once(monkeypatch, search, h, ell):
     # the child's labelling also gives its generators, so an explored
     # parent is not labelled again; the accept path labels through
-    # canonical_form, which this spy does not see
+    # canonical_labeling, which this spy does not see
     calls = []
     labelling = search_module.canonical_search
 
@@ -529,6 +548,28 @@ def test_each_child_is_labelled_once(monkeypatch, search, h, ell):
     assert len(calls) == stats.candidates_generated - stats.pruned
 
 
+def test_each_construction_is_labelled_once(monkeypatch):
+    # the target is labelled once per search and each construction once;
+    # the witness is composed from the two labellings
+    h = families.cycle(5)
+    labelled, built = [], []
+    labelling, construction = search_module.canonical_labeling, search_module.link_graph
+
+    def labelling_spy(g, colors=None):
+        labelled.append(g)
+        return labelling(g, colors)
+
+    def construction_spy(g, ell):
+        built.append(g)
+        return construction(g, ell)
+
+    monkeypatch.setattr(search_module, "canonical_labeling", labelling_spy)
+    monkeypatch.setattr(search_module, "link_graph", construction_spy)
+    assert len(minimal_link_roots(h, 3)) == 1
+    assert built and [g for g in labelled if g is h] == [h]
+    assert len(labelled) == len(built) + 1
+
+
 # The benchmark's ten root searches.  The first tuple is what the search
 # counted before it proposed one edge per orbit of the parent's automorphism
 # group (the seed-commit counters perfbench/workloads.py records): explored,
@@ -536,41 +577,41 @@ def test_each_child_is_labelled_once(monkeypatch, search, h, ell):
 # block of the target's components at a time) and the path caps have since
 # shrunk the tree, so its explored and proposal counts are upper bounds.
 # The second tuple is the exact count now: explored, candidates,
-# orbit_skipped, parent_rejected; for the 2K1 targets, summed over the
+# orbit_skipped, pruned, parent_rejected; for the 2K1 targets, summed over the
 # searches of the blocks K1 and 2K1.  Then the canonical forms of the
 # roots, in hex.
 ORBIT_SEARCH_TARGETS = {
     "R_2(C6)": (families.cycle(6), 2, False, (318, 15490, 723, 2),
-                (25, 178, 140, 12), {
+                (25, 178, 140, 142, 12), {
         "060006000100020103020403050405", "070006000301040205030604060506"}),
     "R_2(C5)": (families.cycle(5), 2, False, (136, 4805, 241, 1),
-                (17, 95, 77, 6), {
+                (17, 95, 77, 73, 6), {
         "05000500010002010302040304"}),
     "R_3(C3)": (families.cycle(3), 3, False, (89, 2701, 153, 1),
-                (11, 57, 38, 2), {
+                (11, 57, 38, 45, 2), {
         "030003000100020102"}),
     "R_5(2K1)": (families.empty_graph(2), 5, False, (243, 6059, 812, 3),
-                 (32, 85, 55, 22), {
+                 (32, 85, 55, 33, 22), {
         "070006000301060206030404050506",
         "0800070003010402050306040705070607",
         "0c000a0002010302040305040506080709080a090b0a0b"}),
     "R_4(2K1)": (families.empty_graph(2), 4, False, (72, 1283, 147, 2),
-                 (16, 29, 19, 5), {
+                 (16, 29, 19, 10, 5), {
         "06000500030105020503040405", "0a000800020103020403040507060807090809"}),
     "Q_3(K2)": (families.path(1), 3, True, (132, 994, 172, 1),
-                (19, 79, 49, 9), {
+                (19, 79, 49, 52, 9), {
         "0500040002010302040304"}),
     "Q_2(P2)": (families.path(2), 2, True, (59, 589, 68, 2),
-                (11, 50, 21, 3), {
+                (11, 50, 21, 37, 3), {
         "0400040001010202030203", "0500040002010302040304"}),
     "Q_2(P3)": (families.path(3), 2, True, (250, 4283, 457, 1),
-                (20, 118, 45, 8), {
+                (20, 118, 45, 91, 8), {
         "06000500020103020403050405"}),
     "Q_2(C4)": (families.cycle(4), 2, True, (265, 4523, 479, 2),
-                (22, 127, 56, 8), {
+                (22, 127, 56, 98, 8), {
         "0400040001000201030203", "04000500010002000201030103"}),
     "Q_2(C3)": (families.cycle(3), 2, True, (65, 649, 74, 1),
-                (12, 52, 25, 3), {
+                (12, 52, 25, 38, 3), {
         "030003000100020102"}),
 }
 
@@ -587,9 +628,55 @@ def test_orbit_proposals_keep_the_search(name):
     assert stats.candidates_generated + stats.orbit_skipped <= seed_proposals
     assert stats.orbit_skipped > 0
     assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
-            stats.parent_rejected) == counters
+            stats.pruned, stats.parent_rejected) == counters
     assert stats.accepted == accepted
     assert {r.canonical.hex() for r in found} == roots
+
+
+def test_r4_c12_counters_and_roots():
+    # most children of this search are pruned, nearly all of them by the
+    # parent's walk counts before they are built; the counters are those
+    # of the search that built and measured every child
+    found = minimal_link_roots(
+        families.cycle(12), 4, SearchOptions(max_edges_limit=48))
+    stats = found.stats
+    assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
+            stats.pruned, stats.duplicates, stats.parent_rejected,
+            stats.accepted) == (578, 23362, 6892, 21520, 0, 1265, 2)
+    assert found.canonical_set() == cycle_roots(12, 4).canonical_set()
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_links_gained_bounds_the_child(ell):
+    # the links of g + uv that cross uv once bound its new links from
+    # below; a link that crosses uv twice needs a closed walk of g through
+    # u, so at a new vertex v of a forest g the bounds are exact
+    corpus = random_graph_corpus(seed=ell, count=40, max_n=6, max_m=7)
+    assert any(g.has_parallel_edges() for g in corpus)
+    exact_cases = 0
+    for g in corpus:
+        links, super_links = count_links(g, ell), count_links(g, ell + 1)
+        gained = search_module._links_gained(g, ell)
+        for u in range(g.n):
+            for v in range(u + 1, g.n + 1):
+                child = g.add_edge(u, v)
+                low = gained(u, v)
+                new = (count_links(child, ell) - links,
+                       count_links(child, ell + 1) - super_links)
+                assert low[0] <= new[0] and low[1] <= new[1], (g, ell, u, v)
+                if v == g.n and g.is_acyclic():
+                    assert low == new, (g, ell, u)
+                    exact_cases += 1
+    assert exact_cases
+
+
+def test_links_gained_misses_a_pendant_crossed_twice():
+    # a digon plus a pendant edge at 0: the 4-link that leaves the new
+    # vertex, goes round the digon and comes back crosses the pendant twice
+    digon = Multigraph(2, [(0, 1), (0, 1)])
+    assert search_module._links_gained(digon, 3)(0, 2) == (2, 2)
+    child = digon.add_edge(0, 2)
+    assert count_links(child, 4) - count_links(digon, 4) == 3
 
 
 # Root sets (canonical forms in hex) of targets with several components,
