@@ -53,7 +53,7 @@ moves, and a vertex gamma does not list is fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .multigraph import Multigraph
 
@@ -66,17 +66,13 @@ class CanonBudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Byte string equal between two multigraphs iff they are isomorphic."""
 
     data: bytes
 
     def hex(self) -> str:
         return self.data.hex()
-
-    def __lt__(self, other):
-        return self.data < other.data
 
 
 def _find(parent, i):

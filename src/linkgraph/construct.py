@@ -18,7 +18,7 @@ still a vertex: it is an isolated vertex of L_ell.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 from operator import attrgetter
 
 from .links import (
@@ -38,8 +38,7 @@ class ConstructionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class LinkGraphResult:
+class LinkGraphResult(NamedTuple):
     """A constructed link or path graph plus provenance to the source."""
 
     graph: Multigraph
@@ -61,8 +60,7 @@ def _unit_id(units, seq: tuple, what: str) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class LinkPartitions:
+class LinkPartitions(NamedTuple):
     """Vertex and edge partitions of a constructed link graph."""
 
     vertex_parts: tuple  # tuple of sorted vertex-id tuples
@@ -105,9 +103,9 @@ def link_graph(
     edges = []
     for _, i, j in grown:
         _check(i != j, "loop produced by a loopless source")
-        edges.append((i, j))
+        edges.append((i, j) if i < j else (j, i))
     return LinkGraphResult(
-        graph=Multigraph(len(seqs), edges),
+        graph=Multigraph._trusted(len(seqs), tuple(edges)),
         mode="link",
         source=g,
         ell=ell,
@@ -195,9 +193,10 @@ def path_graph(
     seqs, pairs = units
     paths = tuple(map(Link._of_canonical, sorted(seqs)))
     index = {p.seq: i for i, p in enumerate(paths)}
+    # paths are numbered in sorted order and each pair is sorted, so i < j
     edges = sorted((index[head], index[tail]) for head, tail in pairs)
     return LinkGraphResult(
-        graph=Multigraph(len(paths), edges),
+        graph=Multigraph._trusted(len(paths), tuple(edges)),
         mode="path",
         source=g,
         ell=ell,
@@ -206,8 +205,7 @@ def path_graph(
     )
 
 
-@dataclass(frozen=True)
-class ProjectedLink:
+class ProjectedLink(NamedTuple):
     """An s-link of the link graph obtained by projecting an (ell+s)-link.
 
     ``closed`` follows the arc criterion: the defining arc's initial and

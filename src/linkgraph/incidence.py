@@ -10,7 +10,7 @@ and an edge is incident iff both of its ends are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .canon import canonical_form
 from .links import Link, _canonical, _sequence_girth, iter_links
@@ -58,16 +58,15 @@ def _directed_heights(g: Multigraph, comp):
     return heights
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(NamedTuple):
     """Per-unit ell-incidence flags, the induced subgraph, and unit maps."""
 
     ell: int
     vertex_flags: tuple
     edge_flags: tuple
     graph: Multigraph
-    vertex_map: dict = field(repr=False)  # old vertex id -> new id
-    edge_map: dict = field(repr=False)  # old edge id -> new id
+    vertex_map: dict  # old vertex id -> new id
+    edge_map: dict  # old edge id -> new id
 
 
 def unit_flags(g: Multigraph, ell: int):
@@ -178,16 +177,14 @@ def is_l_equivalent(x: Multigraph, y: Multigraph, ell: int) -> bool:
     return canonical_form(gx) == canonical_form(gy)
 
 
-@dataclass(frozen=True)
-class PasteInstruction:
+class PasteInstruction(NamedTuple):
     component_index: int
     vertex: int
     tree: Multigraph
     root: int = 0
 
 
-@dataclass(frozen=True)
-class ExpansionRecipe:
+class ExpansionRecipe(NamedTuple):
     """Pastes of bounded-height rooted trees plus extra small components."""
 
     pastes: tuple = ()

@@ -16,8 +16,6 @@ the root search's bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .multigraph import INFINITE, Multigraph, MultigraphError
 
 
@@ -35,22 +33,29 @@ def _canonical(seq: tuple) -> tuple:
     return seq if seq <= rev else rev
 
 
-@dataclass(frozen=True)
 class Link:
     """A walk identified with its reverse; ``seq`` is the canonical orientation."""
 
-    seq: tuple
+    __slots__ = ("seq",)
 
-    def __post_init__(self):
-        if self.seq != _canonical(self.seq):
-            object.__setattr__(self, "seq", _canonical(self.seq))
+    def __init__(self, seq: tuple):
+        self.seq = _canonical(seq)
 
     @classmethod
     def _of_canonical(cls, seq: tuple) -> "Link":
         """The link of a sequence already in canonical orientation."""
         link = object.__new__(cls)
-        link.__dict__["seq"] = seq
+        link.seq = seq
         return link
+
+    def __eq__(self, other):
+        return self.seq == other.seq if isinstance(other, Link) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.seq)
+
+    def __repr__(self):
+        return f"Link(seq={self.seq!r})"
 
     @property
     def length(self) -> int:

@@ -9,7 +9,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 INFINITE = math.inf
 
@@ -43,14 +43,25 @@ class Multigraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise MultigraphError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             normalized.append((u, v) if u < v else (v, u))
+        self._build(n, tuple(normalized))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple) -> "Multigraph":
+        """The graph on edges already valid and normalised: pairs u < v of
+        vertices below n.  Nothing is checked."""
+        g = object.__new__(cls)
+        g._build(n, edges)
+        return g
+
+    def _build(self, n: int, edges: tuple):
         self.n = n
-        self.edges = tuple(normalized)
+        self.edges = edges
         adj = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
+        for eid, (u, v) in enumerate(edges):
             adj[u].append((eid, v))
             adj[v].append((eid, u))
-        self._adj = tuple(tuple(a) for a in adj)
-        self._hash = hash((n, self.edges))
+        self._adj = tuple(map(tuple, adj))
+        self._hash = hash((n, edges))
 
     @property
     def m(self) -> int:
@@ -185,8 +196,7 @@ class Multigraph:
         return f"Multigraph(n={self.n}, edges={list(self.edges)})"
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
+class GraphMetrics(NamedTuple):
     """Distance and component statistics; INFINITE marks unbounded values."""
 
     eccentricity: tuple
@@ -198,8 +208,7 @@ class GraphMetrics:
     acyclic_component_count: int
 
 
-@dataclass(frozen=True)
-class TreeSplit:
+class TreeSplit(NamedTuple):
     """The two sides of a tree at an edge e with distinguished end u.
 
     ``component_*`` is the component of T - e containing u; ``rest_*`` is the

@@ -28,7 +28,7 @@ repeats, for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import LinkGraphResult, LinkPartitions
 from .links import iter_links
@@ -39,7 +39,6 @@ class PartitionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class PartitionedGraph:
     """A multigraph with a partition of its vertices and one of its edges.
 
@@ -49,11 +48,10 @@ class PartitionedGraph:
     ``PartitionError``.
     """
 
-    graph: Multigraph
-    vertex_parts: tuple  # tuple of sorted vertex-id tuples
-    edge_parts: tuple
-
-    def __post_init__(self):
+    def __init__(self, graph: Multigraph, vertex_parts: tuple, edge_parts: tuple):
+        self.graph = graph
+        self.vertex_parts = vertex_parts  # tuple of sorted vertex-id tuples
+        self.edge_parts = edge_parts
         for label, parts, universe in (
             ("vertex", self.vertex_parts, self.graph.n),
             ("edge", self.edge_parts, self.graph.m),
@@ -101,8 +99,7 @@ class PartitionedGraph:
         return owner
 
 
-@dataclass(frozen=True)
-class DerivedDigraph:
+class DerivedDigraph(NamedTuple):
     """Digraph on (vertex, edge part) pairs certifying partitioned cycles."""
 
     nodes: tuple  # (vertex id, edge part index), sorted
@@ -136,8 +133,7 @@ def derived_digraph(pg: PartitionedGraph) -> DerivedDigraph:
     return DerivedDigraph(tuple(nodes), tuple(sorted(arcs)))
 
 
-@dataclass(frozen=True)
-class ComponentCensus:
+class ComponentCensus(NamedTuple):
     """Per-component cyclic flags plus o/a counts and part degree data."""
 
     cyclic_flags: tuple  # ordered by smallest vertex id of the component

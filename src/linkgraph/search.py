@@ -19,6 +19,22 @@ In link mode the parent's walk counts also bound each child's from below,
 so most children over the target's sizes are skipped before they are
 built, and counted as pruned like those measured.
 
+Most children that survive the prunes belong to a class already reached,
+and a canonical-deletion pre-test (McKay, as above) drops nearly all of
+them before they are labelled.  A legal deletion of a class C is a
+non-bridge edge, or a pendant edge together with its leaf: deleting it
+leaves a connected class inside the bounds, which the search explores.
+Each edge gets an isomorphism-invariant value: the sorted pair of its end
+vertices' values (in link mode the column of walk counts W_0..W_ell that
+``measure`` computes, in path mode the degree), then its multiplicity.  A
+child whose new edge, always legal, is beaten by a legal edge of larger
+value is skipped unlabelled.  This loses no class: take a legal edge e of
+C of largest value.  C - e is explored, and the orbit test tries a
+proposal in the orbit of e's ends; the child it builds is isomorphic to C
+by a map taking its new edge onto e, so no legal edge beats the new edge
+and the child passes.  Children that tie are told apart by their
+certificates, as before.
+
 The ell-link graph and the ell-path graph of a disjoint union are the
 disjoint unions of those of its parts.  For ell >= 1 every vertex of a
 minimal root lies on an ell-link (ell-path), so each component G_i of a
@@ -51,8 +67,8 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from dataclasses import dataclass, field, replace
 from operator import mul
+from typing import NamedTuple
 
 from .canon import (
     CanonicalForm,
@@ -72,7 +88,7 @@ from .families import cycle as cycle_graph
 from .families import middle_joined_paths, path as path_graph_family
 from .families import subdivided_star, tailed_path
 from .incidence import is_l_minimal
-from .links import _walk_tables, count_arcs_by_length, iter_links
+from .links import _walk_tables, iter_links
 from .multigraph import (
     InternalCheckError,  # raised by the checks below; callers catch it here
     Multigraph,
@@ -98,8 +114,7 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(NamedTuple):
     """Enumeration limits derived from the target graph."""
 
     ell: int
@@ -127,22 +142,31 @@ def compute_bounds(h: Multigraph, ell: int) -> SearchBounds:
     )
 
 
-@dataclass(frozen=True)
 class SearchOptions:
-    forests_only: bool = False
-    connected_only: bool = False
-    budget_seconds: float | None = None
-    max_edges_limit: int = 20
+    """Switches of a root search: forest roots only, connected roots only,
+    a time budget in seconds (None for none) and the most edges a target
+    may ask the search to grow."""
 
-    def __post_init__(self):
+    max_edges_limit = 20  # the default, which the CLI also reads here
+
+    def __init__(
+        self,
+        forests_only: bool = False,
+        connected_only: bool = False,
+        budget_seconds: float | None = None,
+        max_edges_limit: int = max_edges_limit,
+    ):
         # "not > 0" also rejects NaN
-        if self.budget_seconds is not None and not self.budget_seconds > 0:
+        if budget_seconds is not None and not budget_seconds > 0:
             raise ValueError("budget_seconds must be positive")
-        if self.max_edges_limit < 1:
+        if max_edges_limit < 1:
             raise ValueError("max_edges_limit must be at least 1")
+        self.forests_only = forests_only
+        self.connected_only = connected_only
+        self.budget_seconds = budget_seconds
+        self.max_edges_limit = max_edges_limit
 
 
-@dataclass
 class SearchStats:
     """Counters of one root search.
 
@@ -150,25 +174,33 @@ class SearchStats:
     searches, except ``accepted``, the number of roots of the target.
     ``pruned`` counts the children over the target's sizes; in link mode
     most are skipped on the parent's walk counts before they are built.
+    ``deletion_skipped`` counts the children inside the sizes whose new
+    edge cannot be the canonical deletion, skipped before labelling; every
+    other candidate is labelled once.
     """
 
-    candidates_generated: int = 0
-    orbit_skipped: int = 0
-    pruned: int = 0
-    # children whose class the same parent already produced
-    duplicates: int = 0
-    # children whose class an earlier parent on the level made; perfbench reads both
-    parent_rejected: int = 0
-    explored: int = 0
-    accepted: int = 0
-    elapsed_seconds: float = 0.0
+    def __init__(self, accepted: int = 0):
+        self.candidates_generated = 0
+        self.orbit_skipped = 0
+        self.pruned = 0
+        self.deletion_skipped = 0
+        # children whose class the same parent already produced
+        self.duplicates = 0
+        # children whose class an earlier parent on the level made; perfbench reads both
+        self.parent_rejected = 0
+        self.explored = 0
+        self.accepted = accepted
+        self.elapsed_seconds = 0.0
+
+    def __repr__(self):
+        counters = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"SearchStats({counters})"
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(NamedTuple):
     graph: Multigraph
     canonical: CanonicalForm
-    witness: dict = field(repr=False)  # vertex of the constructed graph -> vertex of H
+    witness: dict  # vertex of the constructed graph -> vertex of H
 
     @property
     def is_tree(self) -> bool:
@@ -179,14 +211,18 @@ class RootRecord:
         return self.graph.is_acyclic()
 
 
-@dataclass(frozen=True)
 class RootSet:
-    target: Multigraph
-    ell: int
-    mode: str  # "link" or "path"
-    roots: tuple
-    bounds: SearchBounds | None
-    stats: SearchStats
+    """The roots of a search, sorted by certificate, with its bounds (None
+    for a closed form) and counters."""
+
+    def __init__(self, target: Multigraph, ell: int, mode: str, roots: tuple,
+                 bounds: SearchBounds | None, stats: SearchStats):
+        self.target = target
+        self.ell = ell
+        self.mode = mode  # "link" or "path"
+        self.roots = roots
+        self.bounds = bounds
+        self.stats = stats
 
     def __len__(self):
         return len(self.roots)
@@ -248,12 +284,13 @@ class _Target:
     """What both searches share: the target's sizes and the accept path.
 
     ``measure(g)`` returns the sizes (unit count, adjacency count) of the
-    graph g builds, or None when they exceed the target's; both counts only
-    grow with g, so that prunes every supergraph of g too.  Each mode also
-    supplies ``complete(g)``, its minimality test on a graph of the right
-    sizes, ``build(g)``, the construction, and ``audit``, the bound lemmas
-    every root it returns must satisfy.  ``crossing_prune(g, sizes)`` may
-    give a test that skips, before it is built, a child g + uv that
+    graph g builds and an isomorphism-invariant value per vertex of g, or
+    None when the sizes exceed the target's; both counts only grow with g,
+    so that prunes every supergraph of g too.  Each mode also supplies
+    ``complete(g)``, its minimality test on a graph of the right sizes,
+    ``build(g)``, the construction, and ``audit``, the bound lemmas every
+    root it returns must satisfy.  ``crossing_prune(g, sizes, values)``
+    may give a test that skips, before it is built, a child g + uv that
     ``measure`` would prune.
     """
 
@@ -267,7 +304,7 @@ class _Target:
             bounds.required_super_link_count,
         )
 
-    def crossing_prune(self, g: Multigraph, sizes):
+    def crossing_prune(self, g: Multigraph, sizes, values):
         return None
 
     def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
@@ -283,9 +320,17 @@ class _Target:
         return RootRecord(graph=g, canonical=cert, witness=witness)
 
 
-def _links_gained(g: Multigraph, ell: int):
+def _walk_columns(g: Multigraph, ell: int):
+    """The ell- and (ell + 1)-arc counts of g, and per vertex x the column
+    (W[0][x], ..., W[ell][x]) of the k-arcs of g ending at x."""
+    counts, ends = _walk_tables(g, ell + 1)
+    return counts[ell], counts[ell + 1], list(zip(*ends))
+
+
+def _links_gained(columns, ell: int):
     """Lower bounds on the ell- and (ell + 1)-links that g + uv has and g
-    has not, as a function of (u, v); v = g.n is a new vertex.
+    has not, as a function of (u, v); v = g.n is a new vertex.  ``columns``
+    are g's walk columns, from ``_walk_columns``.
 
     They count the links that cross uv once, from u to v: an arc of g
     ending at u, then uv, then an arc of g from v, ell - 1 (ell) long
@@ -295,8 +340,7 @@ def _links_gained(g: Multigraph, ell: int):
     i <= ell.  Links crossing uv twice are not counted, not even for a
     pendant uv: out of v, round a closed walk through u, and back.
     """
-    columns = list(zip(*_walk_tables(g, ell + 1)[1]))  # columns[x][k] = W[k][x]
-    columns.append((1,) + (0,) * ell)
+    columns = columns + [(1,) + (0,) * ell]  # columns[x][k] = W[k][x]
     backwards = [column[::-1] for column in columns]
 
     def gained(u, v):
@@ -321,17 +365,17 @@ class _LinkTarget(_Target):
         self.max_multiplicity = max(1, delta_h // 2 + 1)
 
     def measure(self, g: Multigraph):
-        counts = count_arcs_by_length(g, self.ell + 1)
-        links, super_links = counts[self.ell] // 2, counts[self.ell + 1] // 2
+        arcs, super_arcs, columns = _walk_columns(g, self.ell)
+        links, super_links = arcs // 2, super_arcs // 2
         required_links, required_super_links = self.required
         if links > required_links or super_links > required_super_links:
             return None
-        return links, super_links
+        return (links, super_links), columns
 
-    def crossing_prune(self, g: Multigraph, sizes):
+    def crossing_prune(self, g: Multigraph, sizes, columns):
         if g.n == 0:
             return None
-        gained = _links_gained(g, self.ell)
+        gained = _links_gained(columns, self.ell)
         spare_links = self.required[0] - sizes[0]
         spare_super_links = self.required[1] - sizes[1]
 
@@ -386,7 +430,7 @@ class _PathTarget(_Target):
         if units is None:
             return None
         paths, pairs = units
-        return len(paths), len(pairs)
+        return (len(paths), len(pairs)), g.degrees()
 
     def complete(self, g: Multigraph) -> bool:
         return is_path_minimal(g, self.ell)
@@ -419,6 +463,72 @@ def _proposals(g, target) -> list:
     return proposals
 
 
+def _bridges(g: Multigraph) -> set:
+    """The ids of the edges of g whose deletion disconnects their ends
+    (Tarjan's low points, iteratively; a parallel edge is never one)."""
+    order = [0] * g.n  # 1 + discovery index; 0 while unvisited
+    low = [0] * g.n
+    bridges = set()
+    adj = g.adjacency
+    visited = 0
+    for root in range(g.n):
+        if order[root]:
+            continue
+        visited += 1
+        order[root] = low[root] = visited
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, via, steps = stack[-1]
+            for e, w in steps:
+                if e == via:
+                    continue
+                if order[w]:
+                    low[v] = min(low[v], order[w])
+                else:
+                    visited += 1
+                    order[w] = low[w] = visited
+                    stack.append((w, e, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > order[parent]:
+                        bridges.add(via)
+    return bridges
+
+
+def _may_delete_last(g: Multigraph, values) -> bool:
+    """False when a legal deletion of g has a larger value than g's last
+    edge, so that edge is not its canonical deletion.
+
+    ``values`` holds an isomorphism-invariant value per vertex; an edge's
+    value is the sorted pair of its ends' values, then its multiplicity.
+    The last edge must itself be legal.  A parallel or pendant rival is
+    legal as it stands; only a rival that is neither needs the bridge pass.
+    """
+    edges = g.edges
+    last = edges[-1]
+    a, b = values[last[0]], values[last[1]]
+    top = (a, b) if a <= b else (b, a)
+    rivals = []
+    for e, edge in enumerate(edges):
+        a, b = values[edge[0]], values[edge[1]]
+        pair = (a, b) if a <= b else (b, a)
+        if pair > top or pair == top and edges.count(edge) > edges.count(last):
+            rivals.append(e)
+    if not rivals:
+        return True
+    degrees = g.degrees()
+    for e in rivals:
+        u, v = edges[e]
+        if degrees[u] == 1 or degrees[v] == 1 or edges.count(edges[e]) > 1:
+            return False
+    bridges = _bridges(g)
+    return all(e in bridges for e in rivals)
+
+
 def _orderly_search(targets, stats, deadline, unions=None):
     """Grow the connected candidates of every target, one edge level at a
     time for all of them together; with ``unions``, check the unions of
@@ -430,16 +540,18 @@ def _orderly_search(targets, stats, deadline, unions=None):
     accepted = [{} for _ in targets]
     empty = Multigraph(0)
     cert = canonical_form(empty)
-    # (target index, certificate) ->
-    #     [graph, certificate, sizes, index of the last parent, Aut(graph) generators]
-    level = {
-        (t, cert.data): [empty, cert, target.measure(empty), 0, []]
-        for t, target in enumerate(targets)
-    }
+    # (target index, certificate) -> [graph, certificate, sizes,
+    #     index of the last parent, Aut(graph) generators, vertex values]
+    level = {}
+    for t, target in enumerate(targets):
+        sizes, values = target.measure(empty)
+        level[t, cert.data] = [empty, cert, sizes, 0, [], values]
     m = 0
     while level or (unions is not None and m <= unions.max_m):
         following = {}
-        for index, ((t, key), (g, cert, sizes, _, generators)) in enumerate(level.items()):
+        for index, ((t, key), (g, cert, sizes, _, generators, values)) in enumerate(
+            level.items()
+        ):
             stats.explored += 1
             if _past(deadline):
                 return accepted, m
@@ -452,7 +564,7 @@ def _orderly_search(targets, stats, deadline, unions=None):
             proposals = _proposals(g, target)
             # One proposal per orbit of Aut(g); new vertices are fixed points.
             firsts = orbit_roots(proposals, generators)
-            exceeds = target.crossing_prune(g, sizes)
+            exceeds = target.crossing_prune(g, sizes, values)
             for i, (u, v) in enumerate(proposals):
                 if firsts[i] != i:
                     stats.orbit_skipped += 1
@@ -462,15 +574,20 @@ def _orderly_search(targets, stats, deadline, unions=None):
                     stats.pruned += 1
                     continue
                 child = g.add_edge(u, v)
-                child_sizes = target.measure(child)
-                if child_sizes is None:
+                measured = target.measure(child)
+                if measured is None:
                     stats.pruned += 1
+                    continue
+                child_sizes, child_values = measured
+                if not _may_delete_last(child, child_values):
+                    stats.deletion_skipped += 1
                     continue
                 child_cert, _, child_generators = canonical_search(child)
                 entry = following.get((t, child_cert.data))
                 if entry is None:
                     following[t, child_cert.data] = [
-                        child, child_cert, child_sizes, index, child_generators
+                        child, child_cert, child_sizes, index, child_generators,
+                        child_values,
                     ]
                 elif entry[3] == index:
                     stats.duplicates += 1
@@ -501,7 +618,9 @@ def _block_targets(target_class, h, ell, options):
         counts for counts in itertools.product(*(range(c + 1) for c in total))
         if any(counts)
     ]
-    block_options = replace(options, connected_only=True)
+    block_options = SearchOptions(
+        options.forests_only, True, options.budget_seconds, options.max_edges_limit
+    )
     targets = []
     for counts in blocks:
         block = Multigraph(0)
@@ -558,7 +677,9 @@ class _Unions:
                 cert = canonical_form(g)
                 if cert.data in self.roots:
                     continue
-                record = self.whole.try_accept(g, cert, self.whole.measure(g))
+                measured = self.whole.measure(g)
+                sizes = measured and measured[0]
+                record = self.whole.try_accept(g, cert, sizes)
                 _check(record is not None, "a union of block roots is not a root")
                 self.roots[cert.data] = record
         return True

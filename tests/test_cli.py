@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -8,7 +7,7 @@ from linkgraph import cli
 from linkgraph.cli import main
 from linkgraph.formats import format_multigraph, parse_multigraph, read_multigraph
 from linkgraph.multigraph import Multigraph
-from linkgraph.search import BudgetExceeded, cycle_roots
+from linkgraph.search import BudgetExceeded, RootSet, cycle_roots
 
 
 @pytest.fixture
@@ -220,7 +219,8 @@ def test_roots_outdir_holds_only_the_latest_run(tmp_path, capsys, monkeypatch):
     assert {p.name for p in outdir.iterdir()} == complete
 
     found = cycle_roots(6, 2)
-    partial = dataclasses.replace(found, roots=found.roots[:1])
+    partial = RootSet(found.target, found.ell, found.mode, found.roots[:1],
+                      found.bounds, found.stats)
 
     def out_of_time(h, ell, options):
         raise BudgetExceeded("search budget of 1s exhausted", partial.stats, partial)

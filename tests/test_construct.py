@@ -100,6 +100,18 @@ def test_unit_counts_match_link_counts():
             assert res.graph.m == len(brute_force_links(g, ell + 1))
 
 
+def test_constructions_pass_the_checked_constructor():
+    # link_graph and path_graph build their graphs unchecked; the checked
+    # constructor must accept the same edges and give the same graph
+    for g in random_graph_corpus(seed=37, count=25, max_n=6, max_m=8):
+        for ell in (0, 1, 2, 3):
+            for build in (link_graph, path_graph):
+                built = build(g, ell).graph
+                checked = Multigraph(built.n, built.edges)
+                assert checked == built and checked.adjacency == built.adjacency
+                assert hash(checked) == hash(built)
+
+
 def test_result_is_loopless_and_budget_enforced():
     for t in (2, 3, 4):
         res = link_graph(families.cycle(t), 3)

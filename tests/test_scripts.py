@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import os
@@ -167,7 +166,7 @@ def test_invariance_sweep_exits_1_on_a_broken_invariant(monkeypatch, capsys):
 
     def off_by_one(pg):
         out = census(pg)
-        return dataclasses.replace(out, cyclic_count=out.cyclic_count + 1)
+        return out._replace(cyclic_count=out.cyclic_count + 1)
 
     monkeypatch.setattr(sweep, "count_cyclic_components", off_by_one)
     monkeypatch.setattr(sys, "argv", ["invariance_sweep.py", "--count", "3"])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -36,6 +37,7 @@ from util import (
     brute_force_paths,
     delete_unit,
     exhaustive_multigraphs,
+    legal_deletions,
     random_graph_corpus,
 )
 
@@ -233,13 +235,13 @@ def test_search_counts_repeated_children_per_parent():
     # (K4 minus an edge) has parents that do
     stats = minimal_link_roots(families.empty_graph(2), 6).stats
     assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
-            stats.pruned, stats.duplicates, stats.parent_rejected,
-            stats.accepted) == (87, 352, 171, 134, 0, 133, 3)
+            stats.pruned, stats.deletion_skipped, stats.duplicates,
+            stats.parent_rejected, stats.accepted) == (87, 352, 171, 134, 133, 0, 0, 3)
     diamond = Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     stats = minimal_link_roots(link_graph(diamond, 2).graph, 1).stats
     assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
-            stats.pruned, stats.duplicates, stats.parent_rejected,
-            stats.accepted) == (409, 3402, 1460, 2049, 2, 943, 0)
+            stats.pruned, stats.deletion_skipped, stats.duplicates,
+            stats.parent_rejected, stats.accepted) == (409, 3402, 1460, 2049, 898, 1, 46, 0)
 
 
 def test_witnesses_verified():
@@ -533,8 +535,9 @@ def test_search_state_freed_without_cyclic_gc():
 )
 def test_each_child_is_labelled_once(monkeypatch, search, h, ell):
     # the child's labelling also gives its generators, so an explored
-    # parent is not labelled again; the accept path labels through
-    # canonical_labeling, which this spy does not see
+    # parent is not labelled again; a child the canonical-deletion
+    # pre-test skips is not labelled at all; the accept path labels
+    # through canonical_labeling, which this spy does not see
     calls = []
     labelling = search_module.canonical_search
 
@@ -544,8 +547,9 @@ def test_each_child_is_labelled_once(monkeypatch, search, h, ell):
 
     monkeypatch.setattr(search_module, "canonical_search", spy)
     stats = search(h, ell).stats
-    assert stats.explored > 1
-    assert len(calls) == stats.candidates_generated - stats.pruned
+    assert stats.explored > 1 and stats.deletion_skipped > 0
+    assert len(calls) == (
+        stats.candidates_generated - stats.pruned - stats.deletion_skipped)
 
 
 def test_each_construction_is_labelled_once(monkeypatch):
@@ -577,41 +581,41 @@ def test_each_construction_is_labelled_once(monkeypatch):
 # block of the target's components at a time) and the path caps have since
 # shrunk the tree, so its explored and proposal counts are upper bounds.
 # The second tuple is the exact count now: explored, candidates,
-# orbit_skipped, pruned, parent_rejected; for the 2K1 targets, summed over the
-# searches of the blocks K1 and 2K1.  Then the canonical forms of the
-# roots, in hex.
+# orbit_skipped, pruned, deletion_skipped, parent_rejected; for the 2K1
+# targets, summed over the searches of the blocks K1 and 2K1.  Then the
+# canonical forms of the roots, in hex.
 ORBIT_SEARCH_TARGETS = {
     "R_2(C6)": (families.cycle(6), 2, False, (318, 15490, 723, 2),
-                (25, 178, 140, 142, 12), {
+                (25, 178, 140, 142, 12, 0), {
         "060006000100020103020403050405", "070006000301040205030604060506"}),
     "R_2(C5)": (families.cycle(5), 2, False, (136, 4805, 241, 1),
-                (17, 95, 77, 73, 6), {
+                (17, 95, 77, 73, 6, 0), {
         "05000500010002010302040304"}),
     "R_3(C3)": (families.cycle(3), 3, False, (89, 2701, 153, 1),
-                (11, 57, 38, 45, 2), {
+                (11, 57, 38, 45, 2, 0), {
         "030003000100020102"}),
     "R_5(2K1)": (families.empty_graph(2), 5, False, (243, 6059, 812, 3),
-                 (32, 85, 55, 33, 22), {
+                 (32, 85, 55, 33, 22, 0), {
         "070006000301060206030404050506",
         "0800070003010402050306040705070607",
         "0c000a0002010302040305040506080709080a090b0a0b"}),
     "R_4(2K1)": (families.empty_graph(2), 4, False, (72, 1283, 147, 2),
-                 (16, 29, 19, 10, 5), {
+                 (16, 29, 19, 10, 5, 0), {
         "06000500030105020503040405", "0a000800020103020403040507060807090809"}),
     "Q_3(K2)": (families.path(1), 3, True, (132, 994, 172, 1),
-                (19, 79, 49, 52, 9), {
+                (19, 79, 49, 52, 9, 0), {
         "0500040002010302040304"}),
     "Q_2(P2)": (families.path(2), 2, True, (59, 589, 68, 2),
-                (11, 50, 21, 37, 3), {
+                (11, 50, 21, 37, 3, 0), {
         "0400040001010202030203", "0500040002010302040304"}),
     "Q_2(P3)": (families.path(3), 2, True, (250, 4283, 457, 1),
-                (20, 118, 45, 91, 8), {
+                (20, 118, 45, 91, 8, 0), {
         "06000500020103020403050405"}),
     "Q_2(C4)": (families.cycle(4), 2, True, (265, 4523, 479, 2),
-                (22, 127, 56, 98, 8), {
+                (22, 127, 56, 98, 8, 0), {
         "0400040001000201030203", "04000500010002000201030103"}),
     "Q_2(C3)": (families.cycle(3), 2, True, (65, 649, 74, 1),
-                (12, 52, 25, 38, 3), {
+                (12, 52, 25, 38, 3, 0), {
         "030003000100020102"}),
 }
 
@@ -628,7 +632,7 @@ def test_orbit_proposals_keep_the_search(name):
     assert stats.candidates_generated + stats.orbit_skipped <= seed_proposals
     assert stats.orbit_skipped > 0
     assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
-            stats.pruned, stats.parent_rejected) == counters
+            stats.pruned, stats.deletion_skipped, stats.parent_rejected) == counters
     assert stats.accepted == accepted
     assert {r.canonical.hex() for r in found} == roots
 
@@ -636,13 +640,16 @@ def test_orbit_proposals_keep_the_search(name):
 def test_r4_c12_counters_and_roots():
     # most children of this search are pruned, nearly all of them by the
     # parent's walk counts before they are built; the counters are those
-    # of the search that built and measured every child
+    # of the search that built and measured every child.  The
+    # canonical-deletion pre-test skips all but 581 of the rest unlabelled,
+    # barely more than the 578 classes
     found = minimal_link_roots(
         families.cycle(12), 4, SearchOptions(max_edges_limit=48))
     stats = found.stats
     assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
-            stats.pruned, stats.duplicates, stats.parent_rejected,
-            stats.accepted) == (578, 23362, 6892, 21520, 0, 1265, 2)
+            stats.pruned, stats.deletion_skipped, stats.duplicates,
+            stats.parent_rejected, stats.accepted) == (
+                578, 23362, 6892, 21520, 1261, 0, 4, 2)
     assert found.canonical_set() == cycle_roots(12, 4).canonical_set()
 
 
@@ -656,7 +663,8 @@ def test_links_gained_bounds_the_child(ell):
     exact_cases = 0
     for g in corpus:
         links, super_links = count_links(g, ell), count_links(g, ell + 1)
-        gained = search_module._links_gained(g, ell)
+        columns = search_module._walk_columns(g, ell)[2]
+        gained = search_module._links_gained(columns, ell)
         for u in range(g.n):
             for v in range(u + 1, g.n + 1):
                 child = g.add_edge(u, v)
@@ -674,9 +682,45 @@ def test_links_gained_misses_a_pendant_crossed_twice():
     # a digon plus a pendant edge at 0: the 4-link that leaves the new
     # vertex, goes round the digon and comes back crosses the pendant twice
     digon = Multigraph(2, [(0, 1), (0, 1)])
-    assert search_module._links_gained(digon, 3)(0, 2) == (2, 2)
+    columns = search_module._walk_columns(digon, 3)[2]
+    assert search_module._links_gained(columns, 3)(0, 2) == (2, 2)
     child = digon.add_edge(0, 2)
     assert count_links(child, 4) - count_links(digon, 4) == 3
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_deletion_pretest_keeps_exactly_the_largest_legal_edges(ell):
+    # ell = 0 stands for path mode's degrees, ell >= 1 for link mode's walk
+    # columns; with each legal edge moved last, the pre-test keeps the
+    # graph exactly when no legal edge has a larger value, so every class
+    # keeps at least one of its legal edges
+    corpus = [
+        g for seed in (1, 2)
+        for g in random_graph_corpus(seed=seed, count=150, max_n=7, max_m=10)
+        if g.m >= 2 and g.is_connected()
+    ]
+    assert any(g.has_parallel_edges() for g in corpus)
+    bridged = 0  # kept edges that only a bridge beats
+    for g in corpus:
+        legal = legal_deletions(g)
+        kept = 0
+        for e in legal:
+            h = Multigraph(g.n, g.edges[:e] + g.edges[e + 1:] + (g.edges[e],))
+            values = (h.degrees() if ell == 0
+                      else search_module._walk_columns(h, ell)[2])
+            count = Counter(h.edges)
+
+            def value(edge):
+                ends = sorted((values[edge[0]], values[edge[1]]))
+                return ends[0], ends[1], count[edge]
+
+            last = value(h.edges[-1])
+            expected = all(value(h.edges[f]) <= last for f in legal_deletions(h))
+            assert search_module._may_delete_last(h, values) == expected, (g, e)
+            kept += expected
+            bridged += expected and any(value(f) > last for f in h.edges)
+        assert kept >= 1, g
+    assert bridged
 
 
 # Root sets (canonical forms in hex) of targets with several components,

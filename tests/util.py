@@ -189,6 +189,18 @@ def delete_unit(g: Multigraph, kind: str, unit: int) -> Multigraph:
     return g.induced_on(keep)
 
 
+def legal_deletions(g: Multigraph):
+    """The edges of a connected g with at least two edges whose deletion,
+    with an end it leaves isolated, leaves a connected graph: each one
+    deleted and the rest checked."""
+    legal = []
+    for e in range(g.m):
+        rest = delete_unit(g, "edge", e)
+        if rest.induced_on(v for v in range(rest.n) if rest.degree(v)).is_connected():
+            legal.append(e)
+    return legal
+
+
 def parts_per_vertex(pg) -> int:
     """r(E): the most edge parts meeting one vertex of a partitioned graph."""
     owner = pg.edge_part_of()
