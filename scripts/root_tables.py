@@ -3,10 +3,10 @@
 
 Covers Whitney's pair for the triangle, the cycle-root table, the
 empty-pair family, and (with --slow) the larger link-root searches R_3(C6),
-R_4(C12), R_5(C12), R_5(C8), R_6(C8) (the last two on the t = 4s,
-ell >= 2s + 1 branch of the cycle table) and R_7(2K1), each checked
-against its closed form, and the full minimal 3-path-root set of the
-4-cycle, which the closed forms do not cover.
+R_3(C7), R_4(C12), R_4(C16), R_5(C12), R_5(C8), R_6(C8) (the last two on
+the t = 4s, ell >= 2s + 1 branch of the cycle table), R_7(2K1) and
+R_9(2K1), each checked against its closed form, and the full minimal
+3-path-root set of the 4-cycle, which the closed forms do not cover.
 
 Usage:
     python3 scripts/root_tables.py [--slow]
@@ -22,7 +22,6 @@ sys.path.insert(0, "src")
 
 from linkgraph import families
 from linkgraph.search import (
-    SearchOptions,
     cycle_roots,
     minimal_link_roots,
     minimal_path_roots,
@@ -54,8 +53,9 @@ def show(label, root_set, reference=None) -> bool:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--slow", action="store_true",
-                        help="include R_3(C6), R_4(C12), R_5(C12), R_5(C8), "
-                             "R_6(C8), R_7(2K1) and the exhaustive Q_3(C4) run")
+                        help="include R_3(C6), R_3(C7), R_4(C12), R_4(C16), "
+                             "R_5(C12), R_5(C8), R_6(C8), R_7(2K1), R_9(2K1) "
+                             "and the exhaustive Q_3(C4) run")
     args = parser.parse_args()
 
     agree = True
@@ -79,19 +79,18 @@ def main():
         show(f"Q_{ell}(K2)", minimal_path_roots(families.path(1), ell))
 
     if args.slow:
-        for t, ell in ((6, 3), (12, 4), (12, 5), (8, 5), (8, 6)):
+        for t, ell in ((6, 3), (7, 3), (12, 4), (16, 4), (12, 5), (8, 5), (8, 6)):
             agree &= show(
                 f"R_{ell}(C{t})",
-                minimal_link_roots(
-                    families.cycle(t), ell, SearchOptions(max_edges_limit=t * ell)
-                ),
+                minimal_link_roots(families.cycle(t), ell),
                 cycle_roots(t, ell),
             )
-        agree &= show(
-            "R_7(2K1)",
-            minimal_link_roots(families.empty_graph(2), 7),
-            pair_empty_roots(7),
-        )
+        for ell in (7, 9):
+            agree &= show(
+                f"R_{ell}(2K1)",
+                minimal_link_roots(families.empty_graph(2), ell),
+                pair_empty_roots(ell),
+            )
         started = time.time()
         roots = minimal_path_roots(families.cycle(4), 3)
         print(f"Q_3(C4): {len(roots)} minimal path roots "

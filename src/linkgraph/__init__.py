@@ -47,13 +47,7 @@ from .multigraph import (
     subdivision,
     tree_split,
 )
-from .partition import (
-    ComponentCensus,
-    DerivedDigraph,
-    PartitionedGraph,
-    count_cyclic_components,
-    derived_digraph,
-)
+from .partition import ComponentCensus, PartitionedGraph, count_cyclic_components
 from .search import (
     RootRecord,
     RootSet,

@@ -307,6 +307,13 @@ def _pack(n, m, edges, colors) -> bytes:
     return bytes(out)
 
 
+def _unpack(data: bytes) -> Multigraph:
+    """The graph a certificate of ``_pack`` spells: each vertex at its
+    canonical label, edges sorted; a colour trailer is ignored."""
+    flat = data[3 : 3 + 2 * int.from_bytes(data[1:3], "big")]
+    return Multigraph._trusted(data[0], tuple(zip(flat[0::2], flat[1::2])))
+
+
 def _component_edges(g: Multigraph):
     """Each component's vertices with its edges in edge-id order."""
     comps = g.components()

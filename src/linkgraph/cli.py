@@ -43,7 +43,6 @@ from .partition import PartitionedGraph, count_cyclic_components, graph_degree_s
 from .search import (
     BudgetExceeded,
     SearchOptions,
-    SearchRefused,
     minimal_link_roots,
     minimal_path_roots,
 )
@@ -113,7 +112,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--budget", type=float, help="time budget in seconds")
     p.add_argument(
-        "--max-edges-limit", type=int, default=SearchOptions.max_edges_limit
+        "--max-states", type=int, default=SearchOptions.max_states,
+        help="most candidate states the search explores",
     )
 
     p = sub.add_parser("canon", help="canonical form hex")
@@ -249,7 +249,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         forests_only=args.forests_only or args.trees_only,
         connected_only=args.connected_only or args.trees_only,
         budget_seconds=args.budget,
-        max_edges_limit=args.max_edges_limit,
+        max_states=args.max_states,
     )
     g = read_multigraph(args.input)
     search = minimal_path_roots if args.path else minimal_link_roots
@@ -305,7 +305,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (
         BudgetExceeded,
-        SearchRefused,
         LinkCountExceeded,
         ConstructionError,
         CanonBudgetExceeded,

@@ -7,10 +7,6 @@ import random
 from .multigraph import Multigraph, MultigraphError, subdivision
 
 
-def null_graph() -> Multigraph:
-    return Multigraph(0)
-
-
 def empty_graph(t: int) -> Multigraph:
     """t isolated vertices."""
     return Multigraph(t)
@@ -42,24 +38,6 @@ def star(k: int) -> Multigraph:
 def subdivided_star(k: int, s: int) -> Multigraph:
     """K_{1,k} with every edge replaced by an s-path."""
     return subdivision(star(k), s)
-
-
-def double_star(p: int, q: int) -> Multigraph:
-    """Centres of K_{1,p} and K_{1,q} joined by an edge."""
-    edges = [(0, 1)]
-    nxt = 2
-    for _ in range(p):
-        edges.append((0, nxt))
-        nxt += 1
-    for _ in range(q):
-        edges.append((1, nxt))
-        nxt += 1
-    return Multigraph(nxt, edges)
-
-
-def bond(mu: int) -> Multigraph:
-    """Two vertices joined by mu parallel edges."""
-    return Multigraph(2, [(0, 1)] * mu)
 
 
 def middle_joined_paths(s: int, bridge: int) -> Multigraph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import re
 
+from .canon import _unpack
 from .construct import LinkGraphResult, LinkPartitions, provenance_lines
 from .incidence import ExpansionRecipe, PasteInstruction
 from .multigraph import Multigraph
@@ -172,8 +173,11 @@ _ROOT_SET_FILE = re.compile(r"root_[0-9]{3,}\.mg|roots\.tsv|roots\.partial\.tsv"
 def write_root_set(root_set, out_dir: str, index_name: str = "roots.tsv") -> list:
     """One multigraph file per root plus the index; returns paths.
 
-    Root-set files an earlier call left in ``out_dir`` are deleted first, so
-    the directory never mixes two runs; other files are left alone.
+    Each root is written as the canonical graph of its certificate, so the
+    files depend on the isomorphism class alone, not on the graph the
+    search kept for it.  Root-set files an earlier call left in
+    ``out_dir`` are deleted first, so the directory never mixes two runs;
+    other files are left alone.
     """
     os.makedirs(out_dir, exist_ok=True)
     for name in os.listdir(out_dir):
@@ -183,16 +187,17 @@ def write_root_set(root_set, out_dir: str, index_name: str = "roots.tsv") -> lis
     written = []
     for i, record in enumerate(root_set):
         filename = f"root_{i:03d}.mg"
-        write_multigraph(os.path.join(out_dir, filename), record.graph)
+        graph = _unpack(record.canonical.data)
+        write_multigraph(os.path.join(out_dir, filename), graph)
         written.append(filename)
         rows.append(
             "\t".join(
                 (
                     record.canonical.hex(),
-                    str(record.graph.n),
-                    str(record.graph.m),
-                    "tree" if record.is_tree
-                    else "forest" if record.is_forest
+                    str(graph.n),
+                    str(graph.m),
+                    "tree" if graph.is_tree()
+                    else "forest" if graph.is_acyclic()
                     else "cyclic",
                     filename,
                 )

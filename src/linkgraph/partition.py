@@ -1,5 +1,5 @@
 """Partitioned graphs: vertex/edge partitions, cycles that alternate edge
-parts, the derived digraph, and the cyclic/acyclic component census.
+parts, and the cyclic/acyclic component census.
 
 A ``PartitionedGraph`` checks the partition axioms when it is built and
 raises ``PartitionError`` on the first violation, so every function here
@@ -22,8 +22,7 @@ holds the far ends of the q-edges at y, and its arcs are implicit: one
 into (y, q) for every edge at y outside part q, so its in-degree is
 deg(y) - deg_q(y), parallel arcs counted.  Parallel arcs do not change
 which nodes a peel removes, since every arc is taken off once for each
-time it was counted.  ``derived_digraph`` still builds the arcs, without
-repeats, for inspection.
+time it was counted.
 """
 
 from __future__ import annotations
@@ -75,14 +74,6 @@ class PartitionedGraph:
                 raise PartitionError(f"gap: {label} id {missing} uncovered")
 
     @staticmethod
-    def singletons(g: Multigraph) -> "PartitionedGraph":
-        return PartitionedGraph(
-            g,
-            tuple((v,) for v in range(g.n)),
-            tuple((e,) for e in range(g.m)),
-        )
-
-    @staticmethod
     def from_link_graph(
         result: LinkGraphResult, partitions: LinkPartitions
     ) -> "PartitionedGraph":
@@ -97,40 +88,6 @@ class PartitionedGraph:
             for e in part:
                 owner[e] = i
         return owner
-
-
-class DerivedDigraph(NamedTuple):
-    """Digraph on (vertex, edge part) pairs certifying partitioned cycles."""
-
-    nodes: tuple  # (vertex id, edge part index), sorted
-    arcs: tuple  # (node index, node index)
-
-    @property
-    def node_count(self):
-        return len(self.nodes)
-
-    @property
-    def arc_count(self):
-        return len(self.arcs)
-
-
-def derived_digraph(pg: PartitionedGraph) -> DerivedDigraph:
-    g = pg.graph
-    owner = pg.edge_part_of()
-    parts_at = [set() for _ in range(g.n)]  # per vertex, the edge parts meeting it
-    for e, (u, v) in enumerate(g.edges):
-        parts_at[u].add(owner[e])
-        parts_at[v].add(owner[e])
-    nodes = sorted((v, p) for v in range(g.n) for p in parts_at[v])
-    node_index = {node: i for i, node in enumerate(nodes)}
-    arcs = set()
-    for e, (u, v) in enumerate(g.edges):
-        part = owner[e]
-        for x, y in ((u, v), (v, u)):
-            for other in parts_at[y]:
-                if other != part:
-                    arcs.add((node_index[(x, part)], node_index[(y, other)]))
-    return DerivedDigraph(tuple(nodes), tuple(sorted(arcs)))
 
 
 class ComponentCensus(NamedTuple):

@@ -53,8 +53,11 @@ block roots over the multiset partitions of the classes.  Each union is
 checked as a root of H like any other root, and a union that fails is a
 program fault.  The unions with m edges are checked as soon as every
 block has grown level m, since their parts have at most m edges each, so a
-budget stop on level L, among the block states or the unions, has already
-accepted every root of H with fewer than L edges.  Every connected class
+stop on level L (the time budget or the state cap), among the block states
+or the unions, has already accepted every root of H with fewer than L
+edges.  The cap counts the explored states and the steps of the union
+phase together: each block built, each block the partition enumeration
+tries and each tuple of block roots it combines.  Every connected class
 inside the bounds keeps a connected parent inside them: delete a
 non-bridge edge if there is one, else a pendant edge and its leaf.
 
@@ -71,6 +74,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .canon import (
+    _MAX_VERTICES,
     CanonicalForm,
     canonical_form,
     canonical_labeling,
@@ -101,12 +105,9 @@ from .multigraph import (
 from .partition import PartitionedGraph, count_cyclic_components
 
 
-class SearchRefused(RuntimeError):
-    """The derived bounds exceed the configured desk-scale budget."""
-
-
 class BudgetExceeded(RuntimeError):
-    """Time budget ran out; carries the partial results and statistics."""
+    """The time budget or the state cap ran out; carries the partial
+    results and statistics."""
 
     def __init__(self, message, stats, partial):
         super().__init__(message)
@@ -144,27 +145,29 @@ def compute_bounds(h: Multigraph, ell: int) -> SearchBounds:
 
 class SearchOptions:
     """Switches of a root search: forest roots only, connected roots only,
-    a time budget in seconds (None for none) and the most edges a target
-    may ask the search to grow."""
+    a time budget in seconds (None for none) and the most states the search
+    may take.  The cap counts ``SearchStats.explored`` plus
+    ``SearchStats.union_steps``, so where it stops does not depend on the
+    host."""
 
-    max_edges_limit = 20  # the default, which the CLI also reads here
+    max_states = 20_000  # the default, which the CLI also reads here
 
     def __init__(
         self,
         forests_only: bool = False,
         connected_only: bool = False,
         budget_seconds: float | None = None,
-        max_edges_limit: int = max_edges_limit,
+        max_states: int = max_states,
     ):
         # "not > 0" also rejects NaN
         if budget_seconds is not None and not budget_seconds > 0:
             raise ValueError("budget_seconds must be positive")
-        if max_edges_limit < 1:
-            raise ValueError("max_edges_limit must be at least 1")
+        if max_states < 1:
+            raise ValueError("max_states must be at least 1")
         self.forests_only = forests_only
         self.connected_only = connected_only
         self.budget_seconds = budget_seconds
-        self.max_edges_limit = max_edges_limit
+        self.max_states = max_states
 
 
 class SearchStats:
@@ -176,7 +179,9 @@ class SearchStats:
     most are skipped on the parent's walk counts before they are built.
     ``deletion_skipped`` counts the children inside the sizes whose new
     edge cannot be the canonical deletion, skipped before labelling; every
-    other candidate is labelled once.
+    other candidate is labelled once.  ``explored`` counts the states
+    taken from a level, the one a stop interrupts too, and ``union_steps``
+    the steps of a disconnected target's union phase.
     """
 
     def __init__(self, accepted: int = 0):
@@ -189,6 +194,7 @@ class SearchStats:
         # children whose class an earlier parent on the level made; perfbench reads both
         self.parent_rejected = 0
         self.explored = 0
+        self.union_steps = 0
         self.accepted = accepted
         self.elapsed_seconds = 0.0
 
@@ -201,14 +207,6 @@ class RootRecord(NamedTuple):
     graph: Multigraph
     canonical: CanonicalForm
     witness: dict  # vertex of the constructed graph -> vertex of H
-
-    @property
-    def is_tree(self) -> bool:
-        return self.graph.is_tree()
-
-    @property
-    def is_forest(self) -> bool:
-        return self.graph.is_acyclic()
 
 
 class RootSet:
@@ -529,13 +527,14 @@ def _may_delete_last(g: Multigraph, values) -> bool:
     return all(e in bridges for e in rivals)
 
 
-def _orderly_search(targets, stats, deadline, unions=None):
+def _orderly_search(targets, stats, reached, unions=None):
     """Grow the connected candidates of every target, one edge level at a
     time for all of them together; with ``unions``, check the unions of
     their roots with m edges once level m is grown, up to ``unions.max_m``.
 
     Returns one dict per target (certificate -> accepted record) and the
-    level a budget stop interrupted, or None when every search finished.
+    level a stop interrupted, or None when every search finished.  The
+    search stops as soon as ``reached()``, the cap or deadline test, holds.
     """
     accepted = [{} for _ in targets]
     empty = Multigraph(0)
@@ -553,7 +552,7 @@ def _orderly_search(targets, stats, deadline, unions=None):
             level.items()
         ):
             stats.explored += 1
-            if _past(deadline):
+            if reached():
                 return accepted, m
             target = targets[t]
             record = target.try_accept(g, cert, sizes)
@@ -594,83 +593,91 @@ def _orderly_search(targets, stats, deadline, unions=None):
                 else:
                     stats.parent_rejected += 1
                     entry[3] = index
-        if unions is not None and not unions.check(m, accepted, deadline):
+        if unions is not None and not unions.check(m, accepted):
             return accepted, m
         level = following
         m += 1
     return accepted, None
 
 
-def _past(deadline) -> bool:
-    return deadline is not None and time.monotonic() > deadline
-
-
-def _block_targets(target_class, h, ell, options):
-    """H's component classes (by certificate), the class counts of each
-    nonempty block, and a connected-only target per block."""
-    classes = {}
-    for comp in h.components():
-        g = h.induced_on(comp)
-        classes.setdefault(canonical_form(g).data, [g, 0])[1] += 1
-    classes = [classes[key] for key in sorted(classes)]
-    total = tuple(count for _, count in classes)
-    blocks = [
-        counts for counts in itertools.product(*(range(c + 1) for c in total))
-        if any(counts)
-    ]
-    block_options = SearchOptions(
-        options.forests_only, True, options.budget_seconds, options.max_edges_limit
-    )
-    targets = []
-    for counts in blocks:
-        block = Multigraph(0)
-        for (g, _), k in zip(classes, counts):
-            for _ in range(k):
-                block = block.disjoint_union(g)
-        targets.append(
-            target_class(block, ell, compute_bounds(block, ell), block_options)
-        )
-    return total, blocks, targets
-
-
-def _partitions(total, blocks, start=0):
-    """Each multiset of blocks (index tuples, non-decreasing from ``start``)
-    whose class counts add up to ``total``."""
-    if not any(total):
-        yield ()
-        return
-    for b in range(start, len(blocks)):
-        rest = tuple(t - k for t, k in zip(total, blocks[b]))
-        if min(rest) >= 0:
-            for tail in _partitions(rest, blocks, b):
-                yield (b,) + tail
-
-
 class _Unions:
     """The disjoint unions of block roots over every multiset partition of
     the target's component classes, each accepted as a root of the whole
-    target.  ``roots`` maps certificates to the records accepted so far;
-    ``max_m`` bounds the size of a union, since no block search grows a
-    graph past its own ``max_m``."""
+    target.  ``roots`` maps certificates to the records accepted so far.
+    Every step of this phase counts in ``stats.union_steps`` and is
+    followed by the ``reached()`` test, so the cap and the deadline bound
+    it however many components the target has."""
 
-    def __init__(self, whole, total, blocks, targets):
+    def __init__(self, whole, stats, reached):
         self.whole = whole
-        self.partitions = list(_partitions(total, blocks))
-        self.max_m = max(
-            sum(targets[b].bounds.max_m for b in partition)
-            for partition in self.partitions
-        )
+        # a union has at most ell * n(H) edges, the sum of its blocks' bounds
+        self.max_m = whole.bounds.max_m
+        self.stats = stats
+        self.reached = reached
+        self.stopped = False
         self.roots = {}
 
-    def check(self, m, accepted, deadline) -> bool:
-        """Accept the unions with m edges; False if the deadline passed
-        first.  Every block root with at most m edges must be accepted."""
-        for partition in self.partitions:
+    def _step(self) -> bool:
+        """Count one step; True once the search must stop, after which no
+        step is counted."""
+        if not self.stopped:
+            self.stats.union_steps += 1
+            self.stopped = self.reached()
+        return self.stopped
+
+    def block_targets(self, target_class, h, ell, options):
+        """A connected-only target per nonempty block (a sub-multiset of
+        H's component classes, by certificate), or None when the search
+        must stop before all are built."""
+        classes = {}
+        for comp in h.components():
+            g = h.induced_on(comp)
+            classes.setdefault(canonical_form(g).data, [g, 0])[1] += 1
+        classes = [classes[key] for key in sorted(classes)]
+        self.total = tuple(count for _, count in classes)
+        self.blocks = []
+        targets = []
+        for counts in itertools.product(*(range(c + 1) for c in self.total)):
+            if not any(counts):
+                continue
+            if self._step():
+                return None
+            block = Multigraph(0)
+            for (g, _), k in zip(classes, counts):
+                for _ in range(k):
+                    block = block.disjoint_union(g)
+            self.blocks.append(counts)
+            targets.append(
+                target_class(block, ell, compute_bounds(block, ell), options)
+            )
+        return targets
+
+    def _partitions(self, total, live, start=0):
+        """Each multiset of the blocks ``live[start:]`` (index tuples in
+        the order of ``live``) whose class counts add up to ``total``; it
+        ends early when the search must stop."""
+        if not any(total):
+            yield ()
+            return
+        for i in range(start, len(live)):
+            if self._step():
+                return
+            rest = tuple(t - k for t, k in zip(total, self.blocks[live[i]]))
+            if min(rest) >= 0:
+                for tail in self._partitions(rest, live, i):
+                    yield (live[i],) + tail
+
+    def check(self, m, accepted) -> bool:
+        """Accept the unions with m edges; False if the search must stop
+        first.  Every block root with at most m edges must be accepted.
+        Only the partitions into blocks that have roots so far are tried."""
+        live = [b for b in range(len(self.blocks)) if accepted[b]]
+        for partition in self._partitions(self.total, live):
             for parts in itertools.product(*(accepted[b].values() for b in partition)):
+                if self._step():
+                    return False
                 if sum(record.graph.m for record in parts) != m:
                     continue
-                if _past(deadline):
-                    return False
                 g = parts[0].graph
                 for record in parts[1:]:
                     g = g.disjoint_union(record.graph)
@@ -682,7 +689,7 @@ class _Unions:
                 record = self.whole.try_accept(g, cert, sizes)
                 _check(record is not None, "a union of block roots is not a root")
                 self.roots[cert.data] = record
-        return True
+        return not self.stopped
 
 
 def _trivial_rootset(h, ell, mode, graphs):
@@ -708,31 +715,45 @@ def _trivial_rootset(h, ell, mode, graphs):
 
 def _search(target_class, h, ell, options):
     options = options or SearchOptions()
+    # a connected candidate has at most max_m + 1 vertices, a union of
+    # block candidates at most ell * n(H) + c(H); ell = 0 returns H itself
+    most = max(h.n, ell * h.n + len(h.components()))
+    if most > _MAX_VERTICES:
+        raise ValueError(
+            f"a root search for a target with {h.n} vertices at ell = {ell} "
+            f"may build graphs with {most} vertices; canonical forms hold at "
+            f"most {_MAX_VERTICES}"
+        )
     if ell == 0:
         return _trivial_rootset(h, 0, target_class.mode, [h])
     if h.n == 0:
         return _trivial_rootset(h, ell, target_class.mode, [Multigraph(0)])
     bounds = compute_bounds(h, ell)
-    if bounds.max_m > options.max_edges_limit:
-        raise SearchRefused(
-            f"target needs up to {bounds.max_m} edges; limit is "
-            f"{options.max_edges_limit} (raise max_edges_limit to override)"
-        )
     deadline = (
         time.monotonic() + options.budget_seconds
         if options.budget_seconds is not None
         else None
     )
     stats = SearchStats()
+
+    def capped():
+        return stats.explored + stats.union_steps > options.max_states
+
+    def reached():
+        return capped() or (deadline is not None and time.monotonic() > deadline)
+
     start = time.monotonic()
     whole = target_class(h, ell, bounds, options)
     if options.connected_only or len(h.components()) == 1:
-        accepted, stopped = _orderly_search([whole], stats, deadline)
+        accepted, stopped = _orderly_search([whole], stats, reached)
         roots = accepted[0]
     else:
-        total, blocks, targets = _block_targets(target_class, h, ell, options)
-        unions = _Unions(whole, total, blocks, targets)
-        _, stopped = _orderly_search(targets, stats, deadline, unions)
+        unions = _Unions(whole, stats, reached)
+        targets = unions.block_targets(target_class, h, ell, options)
+        if targets is None:
+            stopped = 0
+        else:
+            _, stopped = _orderly_search(targets, stats, reached, unions)
         roots = unions.roots
     stats.elapsed_seconds = time.monotonic() - start
     stats.accepted = len(roots)
@@ -745,10 +766,13 @@ def _search(target_class, h, ell, options):
         stats=stats,
     )
     if stopped is not None:
+        if capped():
+            limit = f"search cap of {options.max_states} states reached"
+        else:
+            limit = f"search budget of {options.budget_seconds}s exhausted"
         raise BudgetExceeded(
-            f"search budget of {options.budget_seconds}s exhausted at "
-            f"{stopped} edges; every root with fewer than {stopped} edges "
-            "is listed",
+            f"{limit} at {stopped} edges; every root with fewer than "
+            f"{stopped} edges is listed",
             stats,
             root_set,
         )

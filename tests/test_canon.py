@@ -21,6 +21,7 @@ from linkgraph.multigraph import Multigraph
 
 from util import (
     brute_force_vertex_orbits,
+    double_star,
     exhaustive_multigraphs,
     full_round_refinement,
     random_graph_corpus,
@@ -63,7 +64,7 @@ def test_relabeling_stability(data):
 
 
 def test_labeling_is_bijective():
-    g = families.double_star(3, 2)
+    g = double_star(3, 2)
     _, lab = canonical_labeling(g)
     assert sorted(lab) == list(range(g.n))
 
@@ -158,7 +159,7 @@ def test_vertex_orbits_across_components():
 
 def test_vertex_orbits_double_star():
     # K_{1,p}-centre, K_{1,q}-centre, p leaves, q leaves: four orbits
-    g = families.double_star(3, 2)
+    g = double_star(3, 2)
     assert len(vertex_orbits(g)) == 4
 
 

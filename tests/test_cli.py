@@ -237,9 +237,40 @@ def test_roots_outdir_holds_only_the_latest_run(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_refusal_exit_code(tmp_path):
+def test_large_edge_bound_exits_0(tmp_path, capsys):
+    # R_3(C7) may grow 21 edges; only the state cap stops a search
+    path = write_graph(tmp_path, "c7.mg", families.cycle(7))
+    outdir = tmp_path / "x"
+    assert main(["roots", "-l", "3", path, "--outdir", str(outdir)]) == 0
+    assert (outdir / "roots.tsv").exists()
+    capsys.readouterr()
+
+
+def test_roots_state_cap_exit_code(tmp_path, capsys):
     path = write_graph(tmp_path, "c12.mg", families.cycle(12))
-    assert main(["roots", "-l", "3", path, "--outdir", str(tmp_path / "x")]) == 3
+    outdir = tmp_path / "x"
+    argv = ["roots", "-l", "3", path, "--outdir", str(outdir), "--max-states", "10"]
+    assert main(argv) == 3
+    assert (outdir / "roots.partial.tsv").exists()
+    assert not (outdir / "roots.tsv").exists()
+    capsys.readouterr()
+
+
+def test_many_components_stop_at_the_default_cap(tmp_path, capsys):
+    # 50K1 has 50 blocks and p(50) multiset partitions of its components;
+    # the union phase counts its steps against the cap too
+    path = write_graph(tmp_path, "50k1.mg", families.empty_graph(50))
+    outdir = tmp_path / "x"
+    assert main(["roots", "-l", "2", path, "--outdir", str(outdir)]) == 3
+    assert (outdir / "roots.partial.tsv").exists()
+    capsys.readouterr()
+
+
+def test_target_past_the_certificate_size_exits_2(tmp_path, capsys):
+    path = write_graph(tmp_path, "300k1.mg", families.empty_graph(300))
+    assert main(["roots", "-l", "1", path, "--outdir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "300 vertices" in err and "at most 255" in err
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -322,7 +353,7 @@ def test_cliconfig_invariants(tmp_path, capsys):
         ("ell", ["link", "-l", "-2", path]),
         ("budget", ["roots", "-l", "1", path, "--budget", "0"]),
         ("budget", ["roots", "-l", "1", path, "--budget", "nan"]),
-        ("max_edges_limit", ["roots", "-l", "1", path, "--max-edges-limit", "0"]),
+        ("max_states", ["roots", "-l", "1", path, "--max-states", "0"]),
         ("max-links", ["analyze", "-l", "1", path, "--max-links", "0"]),
     ]
     for word, argv in rejected:

@@ -23,6 +23,7 @@ from linkgraph.multigraph import InternalCheckError, Multigraph, metrics
 from linkgraph.partition import PartitionedGraph, count_cyclic_components
 
 from util import (
+    bond,
     brute_force_links,
     brute_force_path_pairs,
     brute_force_paths,
@@ -122,7 +123,7 @@ def test_result_is_loopless_and_budget_enforced():
 
 def test_parallel_multiplicity_rule():
     # mu parallel (ell+1)-links between two links force mu parallel edges
-    res = link_graph(families.bond(3), 1)
+    res = link_graph(bond(3), 1)
     assert res.graph.n == 3
     # each pair of parallel edges is joined by the two wrapping 2-links
     assert res.graph.m == 6

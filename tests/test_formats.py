@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from linkgraph import families
+from linkgraph.canon import canonical_form
 from linkgraph.construct import link_graph, link_partitions
 from linkgraph.formats import (
     FormatError,
@@ -14,7 +17,7 @@ from linkgraph.formats import (
 )
 from linkgraph.multigraph import Multigraph
 from linkgraph.partition import PartitionError
-from linkgraph.search import minimal_link_roots
+from linkgraph.search import RootSet, minimal_link_roots
 
 from util import random_graph_corpus
 
@@ -115,3 +118,32 @@ def test_write_root_set(tmp_path):
     first = (tmp_path / "roots.tsv").read_bytes()
     write_root_set(roots, str(tmp_path))
     assert (tmp_path / "roots.tsv").read_bytes() == first
+
+
+def test_root_files_depend_on_the_class_alone(tmp_path):
+    # each root is written as the canonical graph of its certificate, so
+    # roots kept under other labellings and edge orders write the same files
+    roots = minimal_link_roots(families.cycle(6), 2)
+    rng = random.Random(7)
+    shuffled = []
+    for record in roots:
+        g = record.graph
+        mapping = rng.sample(range(g.n), g.n)
+        edges = [(mapping[u], mapping[v]) for u, v in g.edges]
+        rng.shuffle(edges)
+        shuffled.append(record._replace(graph=Multigraph(g.n, edges)))
+    relabelled = RootSet(roots.target, roots.ell, roots.mode, tuple(shuffled),
+                         roots.bounds, roots.stats)
+    written = []
+    for i, root_set in enumerate((roots, relabelled)):
+        out = tmp_path / str(i)
+        write_root_set(root_set, str(out))
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    rows = written[0]["roots.tsv"].decode().splitlines()[1:]
+    for row in rows:
+        cert, n, m, _, name = row.split("\t")
+        g = parse_multigraph(written[0][name].decode())
+        assert (g.n, g.m) == (int(n), int(m))
+        assert canonical_form(g).hex() == cert
+        assert list(g.edges) == sorted(g.edges)

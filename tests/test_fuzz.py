@@ -117,7 +117,7 @@ def _invocations(draw, workdir):
         if draw(st.booleans()):
             argv += ["--budget", draw(_BUDGET)]
         if draw(st.booleans()):
-            argv += ["--max-edges-limit", draw(st.sampled_from(["1", "6", "0", "x"]))]
+            argv += ["--max-states", draw(st.sampled_from(["1", "6", "0", "x"]))]
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "-l", "extra"])))
     return argv

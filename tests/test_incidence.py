@@ -19,7 +19,13 @@ from linkgraph.incidence import (
 from linkgraph.links import is_link_of
 from linkgraph.multigraph import Multigraph, metrics
 
-from util import brute_force_incident_units, brute_force_links, random_graph_corpus
+from util import (
+    brute_force_incident_units,
+    brute_force_links,
+    double_star,
+    null_graph,
+    random_graph_corpus,
+)
 
 
 def star_on_path_middle(t: int) -> Multigraph:
@@ -36,7 +42,7 @@ def test_claw_leaf_not_3_incident():
 
 
 def test_double_star_fully_3_incident():
-    g = families.double_star(2, 2)
+    g = double_star(2, 2)
     vflags, eflags = unit_flags(g, 3)
     assert all(vflags) and all(eflags)
 
@@ -220,7 +226,7 @@ def test_minimality_examples():
     chord = Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     assert is_l_minimal(chord, 4)
     assert not is_l_minimal(families.star(3), 3)
-    assert is_l_minimal(families.null_graph(), 2)
+    assert is_l_minimal(null_graph(), 2)
 
 
 def test_equivalence_of_star_on_path_family():

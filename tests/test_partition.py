@@ -12,16 +12,17 @@ from linkgraph.partition import (
     PartitionError,
     count_cyclic_components,
     degree_set,
-    derived_digraph,
     graph_degree_set,
     partitioned_links,
 )
 
 from util import (
     brute_force_cyclic_flags,
+    derived_digraph,
     kahn_cyclic_flags,
     parts_per_vertex,
     random_graph_corpus,
+    singletons,
 )
 
 
@@ -31,7 +32,7 @@ def census_of(g, ell) -> ComponentCensus:
 
 
 def test_validate_singletons_ok():
-    pg = PartitionedGraph.singletons(families.cycle(3))
+    pg = singletons(families.cycle(3))
     assert pg.edge_parts == ((0,), (1,), (2,))
 
 
@@ -70,14 +71,14 @@ def test_invalid_edge_partition_raises_when_built(edge_parts, message):
 
 
 def test_derived_digraph_single_edge():
-    pg = PartitionedGraph.singletons(families.path(1))
+    pg = singletons(families.path(1))
     dd = derived_digraph(pg)
     assert dd.node_count == 2
     assert dd.arc_count == 0
 
 
 def test_derived_digraph_triangle_singletons():
-    pg = PartitionedGraph.singletons(families.cycle(3))
+    pg = singletons(families.cycle(3))
     dd = derived_digraph(pg)
     assert dd.node_count == 6
     assert dd.arc_count == 6
@@ -114,7 +115,7 @@ def test_census_of_trees_matches_link_graph_components():
 
 def test_singleton_parts_reproduce_plain_cycle_count():
     for g in random_graph_corpus(seed=67, count=30, max_n=7, max_m=9):
-        census = count_cyclic_components(PartitionedGraph.singletons(g))
+        census = count_cyclic_components(singletons(g))
         assert census.cyclic_count == metrics(g).cyclic_component_count
 
 
@@ -141,7 +142,7 @@ def test_census_flags_each_of_many_components():
     for i, is_cycle in enumerate(cyclic):
         piece = families.cycle(2 + i % 4) if is_cycle else families.path(1 + i % 5)
         g = g.disjoint_union(piece)
-    census = count_cyclic_components(PartitionedGraph.singletons(g))
+    census = count_cyclic_components(singletons(g))
     assert census.cyclic_flags == tuple(cyclic)
     # a 1-edge path has no 2-link; every longer path gives one tree
     linked = census_of(g, 2)
@@ -279,7 +280,7 @@ def test_census_desk_scale_performance():
 
     # linear-time claim, asserted as a generous absolute budget at desk scale
     big = Multigraph(20000, [(i, (i + 1) % 20000) for i in range(20000)])
-    pg = PartitionedGraph.singletons(big)
+    pg = singletons(big)
     started = time.monotonic()
     census = count_cyclic_components(pg)
     elapsed = time.monotonic() - started

@@ -21,7 +21,6 @@ from linkgraph import search as search_module
 from linkgraph.search import (
     BudgetExceeded,
     SearchOptions,
-    SearchRefused,
     attach_tail,
     compute_bounds,
     cycle_roots,
@@ -36,6 +35,7 @@ from util import (
     brute_force_path_pairs,
     brute_force_paths,
     delete_unit,
+    double_star,
     exhaustive_multigraphs,
     legal_deletions,
     random_graph_corpus,
@@ -99,9 +99,7 @@ def test_roots_of_null_graph():
 def test_cycle_roots_closed_form_matches_search():
     # (8, 5) is the t = 4s, ell >= 2s + 1 branch with s = 2
     for t, ell in ((3, 1), (4, 2), (6, 2), (4, 3), (5, 2), (7, 3), (8, 5)):
-        via_search = minimal_link_roots(
-            families.cycle(t), ell, SearchOptions(max_edges_limit=t * ell)
-        )
+        via_search = minimal_link_roots(families.cycle(t), ell)
         closed = cycle_roots(t, ell)
         assert via_search.canonical_set() == closed.canonical_set(), (t, ell)
 
@@ -150,11 +148,21 @@ def test_roots_options_connected_only():
     assert roots.canonical_set() == certs([families.tailed_path(3, 1, 1)])
 
 
-def test_search_refusal_on_large_bounds():
-    with pytest.raises(SearchRefused):
-        minimal_link_roots(families.cycle(12), 3)
-    with pytest.raises(SearchRefused):
-        minimal_path_roots(families.cycle(12), 3)
+def test_large_edge_bound_is_searched_up_to_the_state_cap():
+    # R_3(C12) may grow 36 edges but explores a few hundred states; the
+    # cap, not the edge bound, stops a search
+    found = minimal_link_roots(families.cycle(12), 3)
+    assert found.canonical_set() == cycle_roots(12, 3).canonical_set()
+
+
+@pytest.mark.parametrize("h, ell", [
+    (families.empty_graph(300), 1),  # H itself has no certificate
+    (families.empty_graph(1), 300),  # the search may grow 301 vertices
+    (families.cycle(300), 0),
+])
+def test_search_past_the_certificate_size_is_rejected(h, ell):
+    with pytest.raises(ValueError, match=r"vertices; canonical forms hold at most 255"):
+        minimal_path_roots(h, ell)
 
 
 def test_search_options_rejected():
@@ -162,7 +170,7 @@ def test_search_options_rejected():
         {"budget_seconds": 0},
         {"budget_seconds": -1.0},
         {"budget_seconds": float("nan")},
-        {"max_edges_limit": 0},
+        {"max_states": 0},
     ):
         with pytest.raises(ValueError):
             SearchOptions(**kwargs)
@@ -182,7 +190,7 @@ def test_budget_lists_every_root_below_its_level(monkeypatch):
     # the level it stops on bounds the roots the partial answer must hold
     full = minimal_link_roots(families.empty_graph(2), 6)
     levels, explored = [], []
-    for budget in (40, 90):
+    for budget in (50, 128):
         ticks = itertools.count()
         monkeypatch.setattr(search_module, "time",
                             SimpleNamespace(monotonic=lambda: float(next(ticks))))
@@ -211,6 +219,7 @@ def test_every_budget_stop_lists_the_roots_below_its_level(monkeypatch, search, 
     # stop at every tick of a clock that ticks once per call, through the
     # block states and the unions, until the search finishes
     full = search(h, ell)
+    among_unions = []
     for budget in itertools.count(1):
         ticks = itertools.count()
         monkeypatch.setattr(search_module, "time",
@@ -221,12 +230,45 @@ def test_every_budget_stop_lists_the_roots_below_its_level(monkeypatch, search, 
             level = int(re.search(r"at (\d+) edges", str(err)).group(1))
             below = {r.canonical.data for r in full if r.graph.m < level}
             assert below <= err.partial.canonical_set() <= full.canonical_set()
-            last_stop = err
+            if err.stats.explored == full.stats.explored:
+                among_unions.append(len(err.partial))
         else:
             break
-    # the last stop comes after the last block state, among the unions
-    assert last_stop.stats.explored == full.stats.explored
-    assert len(last_stop.partial) < len(full)
+    # some stops come after the last block state, among the unions, and
+    # the first of them before every union is accepted
+    assert among_unions and among_unions[0] < len(full)
+
+
+@pytest.mark.parametrize("search, h, ell", [
+    (minimal_link_roots, families.empty_graph(2), 4),
+    (minimal_path_roots, families.empty_graph(3), 2),
+])
+def test_every_state_cap_lists_the_roots_below_its_level(search, h, ell):
+    # the cap counts explored states and union steps, so a stop needs no
+    # clock and two runs under one cap stop alike; every cap below the
+    # full count stops, among the block states or among the unions
+    full = search(h, ell)
+    count = full.stats.explored + full.stats.union_steps
+    among_unions = 0
+    for cap in range(1, count):
+        stops = []
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded) as err:
+                search(h, ell, SearchOptions(max_states=cap))
+            stops.append((str(err.value), err.value.partial.canonical_set()))
+            stats = err.value.stats
+            assert stats.explored + stats.union_steps == cap + 1
+        assert stops[0] == stops[1]
+        message, partial = stops[0]
+        level = int(re.fullmatch(
+            rf"search cap of {cap} states reached at (\d+) edges; "
+            r"every root with fewer than \1 edges is listed", message).group(1))
+        below = {r.canonical.data for r in full if r.graph.m < level}
+        assert below <= partial <= full.canonical_set()
+        among_unions += stats.explored == full.stats.explored
+    assert among_unions > 0
+    capped = search(h, ell, SearchOptions(max_states=count))
+    assert capped.canonical_set() == full.canonical_set()
 
 
 def test_search_counts_repeated_children_per_parent():
@@ -419,7 +461,7 @@ def test_attach_tail_on_path_end_recovers_tree():
 def test_double_star_has_four_tail_classes():
     from linkgraph.canon import vertex_orbits
 
-    t = families.double_star(3, 2)
+    t = double_star(3, 2)
     orbits = vertex_orbits(t)
     assert len(orbits) == 4
     reps = [o[0] for o in orbits]
@@ -643,8 +685,7 @@ def test_r4_c12_counters_and_roots():
     # of the search that built and measured every child.  The
     # canonical-deletion pre-test skips all but 581 of the rest unlabelled,
     # barely more than the 578 classes
-    found = minimal_link_roots(
-        families.cycle(12), 4, SearchOptions(max_edges_limit=48))
+    found = minimal_link_roots(families.cycle(12), 4)
     stats = found.stats
     assert (stats.explored, stats.candidates_generated, stats.orbit_skipped,
             stats.pruned, stats.deletion_skipped, stats.duplicates,
@@ -818,7 +859,9 @@ def test_forests_only_combines_forest_roots():
     full = minimal_link_roots(c3_k1(), 1)
     forests = minimal_link_roots(c3_k1(), 1, SearchOptions(forests_only=True))
     assert len(full) == 2
-    assert forests.canonical_set() == {r.canonical.data for r in full if r.is_forest}
+    assert forests.canonical_set() == {
+        r.canonical.data for r in full if r.graph.is_acyclic()
+    }
     assert len(forests) == 1
 
 

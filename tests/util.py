@@ -9,12 +9,43 @@ from __future__ import annotations
 
 import heapq
 import random
+from typing import NamedTuple
 
 from linkgraph.canon import canonical_form
 from linkgraph.families import random_multigraph
 from linkgraph.links import count_arcs_by_length
 from linkgraph.multigraph import Multigraph
-from linkgraph.partition import derived_digraph
+from linkgraph.partition import PartitionedGraph
+
+
+def null_graph() -> Multigraph:
+    return Multigraph(0)
+
+
+def double_star(p: int, q: int) -> Multigraph:
+    """Centres of K_{1,p} and K_{1,q} joined by an edge."""
+    edges = [(0, 1)]
+    nxt = 2
+    for _ in range(p):
+        edges.append((0, nxt))
+        nxt += 1
+    for _ in range(q):
+        edges.append((1, nxt))
+        nxt += 1
+    return Multigraph(nxt, edges)
+
+
+def bond(mu: int) -> Multigraph:
+    """Two vertices joined by mu parallel edges."""
+    return Multigraph(2, [(0, 1)] * mu)
+
+
+def singletons(g: Multigraph) -> PartitionedGraph:
+    return PartitionedGraph(
+        g,
+        tuple((v,) for v in range(g.n)),
+        tuple((e,) for e in range(g.m)),
+    )
 
 
 def brute_force_arcs(g: Multigraph, ell: int):
@@ -110,6 +141,40 @@ def brute_force_cyclic_flags(pg):
         }
     heads = {head for _, head in ends}
     return tuple(any(v in heads for v in comp) for comp in g.components())
+
+
+class DerivedDigraph(NamedTuple):
+    """Digraph on (vertex, edge part) pairs certifying partitioned cycles."""
+
+    nodes: tuple  # (vertex id, edge part index), sorted
+    arcs: tuple  # (node index, node index)
+
+    @property
+    def node_count(self):
+        return len(self.nodes)
+
+    @property
+    def arc_count(self):
+        return len(self.arcs)
+
+
+def derived_digraph(pg: PartitionedGraph) -> DerivedDigraph:
+    g = pg.graph
+    owner = pg.edge_part_of()
+    parts_at = [set() for _ in range(g.n)]  # per vertex, the edge parts meeting it
+    for e, (u, v) in enumerate(g.edges):
+        parts_at[u].add(owner[e])
+        parts_at[v].add(owner[e])
+    nodes = sorted((v, p) for v in range(g.n) for p in parts_at[v])
+    node_index = {node: i for i, node in enumerate(nodes)}
+    arcs = set()
+    for e, (u, v) in enumerate(g.edges):
+        part = owner[e]
+        for x, y in ((u, v), (v, u)):
+            for other in parts_at[y]:
+                if other != part:
+                    arcs.add((node_index[(x, part)], node_index[(y, other)]))
+    return DerivedDigraph(tuple(nodes), tuple(sorted(arcs)))
 
 
 def kahn_cyclic_flags(pg):
