@@ -2,11 +2,16 @@
 """Reproduce the minimal-root tables by exhaustive search.
 
 Covers Whitney's pair for the triangle, the cycle-root table, the
-empty-pair family, and (with --slow) the larger link-root searches R_3(C6),
-R_3(C7), R_4(C12), R_4(C16), R_5(C12), R_5(C8), R_6(C8) (the last two on
-the t = 4s, ell >= 2s + 1 branch of the cycle table), R_7(2K1) and
-R_9(2K1), each checked against its closed form, and the full minimal
+empty-pair family, the path roots Q_1(K2) .. Q_4(K2), and (with --slow)
+the larger link-root searches R_3(C6), R_3(C7), R_4(C12), R_4(C16),
+R_5(C12), R_5(C8), R_6(C8) (the last two on the t = 4s, ell >= 2s + 1
+branch of the cycle table), R_7(2K1) and R_9(2K1), and the path roots
+Q_5(K2), each checked against its closed form, and the full minimal
 3-path-root set of the 4-cycle, which the closed forms do not cover.
+
+The path roots of K2 are the 2-bond and P_2 at ell = 1 and P_(ell + 1)
+for ell >= 2: two ell-paths that form an (ell + 1)-cycle need ell + 1 >= 3
+of them, so only an (ell + 1)-path can join two.
 
 Usage:
     python3 scripts/root_tables.py [--slow]
@@ -21,6 +26,7 @@ import time
 sys.path.insert(0, "src")
 
 from linkgraph import families
+from linkgraph.canon import canonical_form
 from linkgraph.search import (
     cycle_roots,
     minimal_link_roots,
@@ -35,8 +41,15 @@ def describe(g):
     return f"n={g.n:2d} m={g.m:2d} {kind}{extras}"
 
 
+def k2_path_roots(ell):
+    """Certificates of the closed-form minimal ell-path roots of K2."""
+    graphs = [families.path(ell + 1)] + ([families.cycle(2)] if ell == 1 else [])
+    return {canonical_form(g).data for g in graphs}
+
+
 def show(label, root_set, reference=None) -> bool:
-    """Print a root set; False when it disagrees with ``reference``."""
+    """Print a root set; False when it disagrees with ``reference``, a
+    set of certificates."""
     print(f"{label}: {len(root_set)} minimal roots "
           f"({root_set.stats.elapsed_seconds:.2f}s, "
           f"{root_set.stats.explored} states, "
@@ -44,7 +57,7 @@ def show(label, root_set, reference=None) -> bool:
     for record in root_set:
         print(f"    {describe(record.graph)}")
     if reference is not None:
-        agree = root_set.canonical_set() == reference.canonical_set()
+        agree = root_set.canonical_set() == reference
         print(f"    closed form agrees: {agree}")
         return agree
     return True
@@ -54,8 +67,8 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--slow", action="store_true",
                         help="include R_3(C6), R_3(C7), R_4(C12), R_4(C16), "
-                             "R_5(C12), R_5(C8), R_6(C8), R_7(2K1), R_9(2K1) "
-                             "and the exhaustive Q_3(C4) run")
+                             "R_5(C12), R_5(C8), R_6(C8), R_7(2K1), R_9(2K1), "
+                             "Q_5(K2) and the exhaustive Q_3(C4) run")
     args = parser.parse_args()
 
     agree = True
@@ -65,31 +78,35 @@ def main():
         agree &= show(
             f"R_{ell}(C{t})",
             minimal_link_roots(families.cycle(t), ell),
-            cycle_roots(t, ell),
+            cycle_roots(t, ell).canonical_set(),
         )
 
     for ell in range(1, 7):
         agree &= show(
             f"R_{ell}(2K1)",
             minimal_link_roots(families.empty_graph(2), ell),
-            pair_empty_roots(ell),
+            pair_empty_roots(ell).canonical_set(),
         )
 
-    for ell in (1, 2, 3, 4):
-        show(f"Q_{ell}(K2)", minimal_path_roots(families.path(1), ell))
+    for ell in (1, 2, 3, 4) + ((5,) if args.slow else ()):
+        agree &= show(
+            f"Q_{ell}(K2)",
+            minimal_path_roots(families.path(1), ell),
+            k2_path_roots(ell),
+        )
 
     if args.slow:
         for t, ell in ((6, 3), (7, 3), (12, 4), (16, 4), (12, 5), (8, 5), (8, 6)):
             agree &= show(
                 f"R_{ell}(C{t})",
                 minimal_link_roots(families.cycle(t), ell),
-                cycle_roots(t, ell),
+                cycle_roots(t, ell).canonical_set(),
             )
         for ell in (7, 9):
             agree &= show(
                 f"R_{ell}(2K1)",
                 minimal_link_roots(families.empty_graph(2), ell),
-                pair_empty_roots(ell),
+                pair_empty_roots(ell).canonical_set(),
             )
         started = time.time()
         roots = minimal_path_roots(families.cycle(4), 3)

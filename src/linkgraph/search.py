@@ -15,9 +15,16 @@ proposal of each orbit is tried (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998); the first proposal giving a child class
 is always tried, so the same children are reached as without the orbits,
 and a generating set that missed part of the group would only cost time.
-In link mode the parent's walk counts also bound each child's from below,
-so most children over the target's sizes are skipped before they are
-built, and counted as pruned like those measured.
+Most children over the target's sizes are skipped before they are built,
+and counted as pruned like those measured.  In link mode the parent's walk
+counts bound the child's from below.  In path mode the paths of g + uv
+through its new edge are counted on g: with ell edges they are exactly
+the child's new ell-paths, and with ell + 1 edges each adds an edge to the
+path graph.  A proposal that passes the orbit test and this prune is
+built; then link mode measures it and runs the deletion pre-test below on
+the walk columns it measured, while path mode, whose pre-test reads only
+degrees, runs the pre-test first and lists the child's paths only if it
+passes.
 
 Most children that survive the prunes belong to a class already reached,
 and a canonical-deletion pre-test (McKay, as above) drops nearly all of
@@ -175,13 +182,15 @@ class SearchStats:
 
     A target searched block by block counts the sum over its block
     searches, except ``accepted``, the number of roots of the target.
-    ``pruned`` counts the children over the target's sizes; in link mode
-    most are skipped on the parent's walk counts before they are built.
-    ``deletion_skipped`` counts the children inside the sizes whose new
-    edge cannot be the canonical deletion, skipped before labelling; every
-    other candidate is labelled once.  ``explored`` counts the states
-    taken from a level, the one a stop interrupts too, and ``union_steps``
-    the steps of a disconnected target's union phase.
+    ``pruned`` counts the children over the target's sizes, most of them
+    skipped on the parent's counts before they are built.
+    ``deletion_skipped`` counts the children whose new edge cannot be the
+    canonical deletion, skipped before labelling: in link mode those inside
+    the sizes, in path mode, which tests this first, those the parent's
+    counts did not prune.  Every other candidate is labelled once.
+    ``explored`` counts the states taken from a level and ``union_steps``
+    the steps of a disconnected target's union phase; a stop comes before
+    the step it refuses, so a cap stop leaves their sum at the cap.
     """
 
     def __init__(self, accepted: int = 0):
@@ -289,7 +298,8 @@ class _Target:
     ``build(g)``, the construction, and ``audit``, the bound lemmas every
     root it returns must satisfy.  ``crossing_prune(g, sizes, values)``
     may give a test that skips, before it is built, a child g + uv that
-    ``measure`` would prune.
+    ``measure`` would prune, and ``admit`` runs the remaining tests on a
+    built child.
     """
 
     def __init__(self, h, ell, bounds, options):
@@ -304,6 +314,20 @@ class _Target:
 
     def crossing_prune(self, g: Multigraph, sizes, values):
         return None
+
+    def admit(self, child: Multigraph, stats):
+        """The child's ``measure`` when it is inside the target's sizes and
+        its new edge may be its canonical deletion; otherwise None, with
+        the child counted in ``stats`` as pruned or deletion-skipped.  The
+        deletion test reads the values ``measure`` gives, so it comes
+        second."""
+        measured = self.measure(child)
+        if measured is None:
+            stats.pruned += 1
+        elif not _may_delete_last(child, measured[1]):
+            stats.deletion_skipped += 1
+            return None
+        return measured
 
     def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
         if sizes != self.required:
@@ -404,6 +428,48 @@ def is_path_minimal(g: Multigraph, ell: int) -> bool:
     return not pending_v and not pending_e
 
 
+def _paths_through(g: Multigraph, ell: int, u: int, v: int, spare) -> tuple:
+    """The numbers of ell- and (ell + 1)-paths of g + uv that use its new
+    edge uv; v = g.n is a new vertex.  The count stops as soon as one of
+    them passes its bound in ``spare``, and that one then reads one past it.
+
+    Such a path is a path of g ending at u, then uv, then a path of g from
+    v with no vertex in common with the first.  Each is grown once from
+    uv: at u's end, then at v's end, and never again at u's once it has
+    grown at v's.  An ell-path of g + uv is one of g's or one of these, so
+    the first count is exact; every new (ell + 1)-path adds an edge to the
+    path graph, so the second bounds the new edges from below.
+    """
+    adj = g.adjacency
+    most_short, most_long = spare
+    short = long = 0
+    # (the end it grows at, its vertices, whether it may still grow at v);
+    # a new vertex v has no edge of g to grow along
+    stack = [(u, (v, u), v < g.n)]
+    while stack:
+        x, used, at_v = stack.pop()
+        if len(used) <= ell:  # shorter than ell
+            for _, w in adj[x]:
+                if w not in used:
+                    stack.append((w, used + (w,), at_v))
+            if at_v:
+                for _, w in adj[v]:
+                    if w not in used:
+                        stack.append((w, used + (w,), False))
+            continue
+        short += 1
+        for _, w in adj[x]:
+            if w not in used:
+                long += 1
+        if at_v:
+            for _, w in adj[v]:
+                if w not in used:
+                    long += 1
+        if short > most_short or long > most_long:
+            break
+    return min(short, most_short + 1), min(long, most_long + 1)
+
+
 class _PathTarget(_Target):
     """Prunes and final acceptance for minimal ell-path-root search.
 
@@ -430,11 +496,44 @@ class _PathTarget(_Target):
         paths, pairs = units
         return (len(paths), len(pairs)), g.degrees()
 
+    def crossing_prune(self, g: Multigraph, sizes, degrees):
+        if g.n == 0:
+            return None
+        spare = (self.required[0] - sizes[0], self.required[1] - sizes[1])
+
+        def exceeds(u, v):
+            paths, pairs = _paths_through(g, self.ell, u, v, spare)
+            return paths > spare[0] or pairs > spare[1]
+
+        return exceeds
+
+    def admit(self, child: Multigraph, stats):
+        # the deletion values are the degrees, so the test can come before
+        # the child's paths are listed; the same children pass both tests
+        if not _may_delete_last(child, child.degrees()):
+            stats.deletion_skipped += 1
+            return None
+        measured = self.measure(child)
+        if measured is None:
+            stats.pruned += 1
+        return measured
+
     def complete(self, g: Multigraph) -> bool:
         return is_path_minimal(g, self.ell)
 
     def build(self, g: Multigraph):
         return path_graph(g, self.ell)
+
+
+def _multiplicities(edges) -> dict:
+    """The number of copies of each edge, keyed by its pair (u, v), u < v,
+    as the edges are stored."""
+    # a plain dict: building a Counter costs more than this loop on the
+    # few edges a search's graphs have
+    counts = {}
+    for edge in edges:
+        counts[edge] = counts.get(edge, 0) + 1
+    return counts
 
 
 def _proposals(g, target) -> list:
@@ -445,6 +544,7 @@ def _proposals(g, target) -> list:
     degrees = g.degrees()
     max_deg = target.max_degree
     new_vertex = g.n < target.bounds.max_n
+    multiplicity = _multiplicities(g.edges)
     proposals = []
     for u in range(g.n):
         if degrees[u] + 1 > max_deg:
@@ -453,7 +553,7 @@ def _proposals(g, target) -> list:
             for v in range(u + 1, g.n):
                 if degrees[v] + 1 > max_deg:
                     continue
-                if g.multiplicity(u, v) + 1 > target.max_multiplicity:
+                if multiplicity.get((u, v), 0) + 1 > target.max_multiplicity:
                     continue
                 proposals.append((u, v))
         if new_vertex:
@@ -507,21 +607,23 @@ def _may_delete_last(g: Multigraph, values) -> bool:
     legal as it stands; only a rival that is neither needs the bridge pass.
     """
     edges = g.edges
+    multiplicity = _multiplicities(edges)
     last = edges[-1]
     a, b = values[last[0]], values[last[1]]
     top = (a, b) if a <= b else (b, a)
+    top_multiplicity = multiplicity[last]
     rivals = []
     for e, edge in enumerate(edges):
         a, b = values[edge[0]], values[edge[1]]
         pair = (a, b) if a <= b else (b, a)
-        if pair > top or pair == top and edges.count(edge) > edges.count(last):
+        if pair > top or pair == top and multiplicity[edge] > top_multiplicity:
             rivals.append(e)
     if not rivals:
         return True
     degrees = g.degrees()
     for e in rivals:
         u, v = edges[e]
-        if degrees[u] == 1 or degrees[v] == 1 or edges.count(edges[e]) > 1:
+        if degrees[u] == 1 or degrees[v] == 1 or multiplicity[u, v] > 1:
             return False
     bridges = _bridges(g)
     return all(e in bridges for e in rivals)
@@ -551,9 +653,9 @@ def _orderly_search(targets, stats, reached, unions=None):
         for index, ((t, key), (g, cert, sizes, _, generators, values)) in enumerate(
             level.items()
         ):
-            stats.explored += 1
             if reached():
                 return accepted, m
+            stats.explored += 1
             target = targets[t]
             record = target.try_accept(g, cert, sizes)
             if record is not None:
@@ -573,14 +675,10 @@ def _orderly_search(targets, stats, reached, unions=None):
                     stats.pruned += 1
                     continue
                 child = g.add_edge(u, v)
-                measured = target.measure(child)
+                measured = target.admit(child, stats)
                 if measured is None:
-                    stats.pruned += 1
                     continue
                 child_sizes, child_values = measured
-                if not _may_delete_last(child, child_values):
-                    stats.deletion_skipped += 1
-                    continue
                 child_cert, _, child_generators = canonical_search(child)
                 entry = following.get((t, child_cert.data))
                 if entry is None:
@@ -604,9 +702,9 @@ class _Unions:
     """The disjoint unions of block roots over every multiset partition of
     the target's component classes, each accepted as a root of the whole
     target.  ``roots`` maps certificates to the records accepted so far.
-    Every step of this phase counts in ``stats.union_steps`` and is
-    followed by the ``reached()`` test, so the cap and the deadline bound
-    it however many components the target has."""
+    Every step of this phase follows the ``reached()`` test and counts in
+    ``stats.union_steps``, so the cap and the deadline bound it however
+    many components the target has."""
 
     def __init__(self, whole, stats, reached):
         self.whole = whole
@@ -618,11 +716,11 @@ class _Unions:
         self.roots = {}
 
     def _step(self) -> bool:
-        """Count one step; True once the search must stop, after which no
-        step is counted."""
+        """True once the search must stop; otherwise count one step."""
         if not self.stopped:
-            self.stats.union_steps += 1
             self.stopped = self.reached()
+            if not self.stopped:
+                self.stats.union_steps += 1
         return self.stopped
 
     def block_targets(self, target_class, h, ell, options):
@@ -737,7 +835,7 @@ def _search(target_class, h, ell, options):
     stats = SearchStats()
 
     def capped():
-        return stats.explored + stats.union_steps > options.max_states
+        return stats.explored + stats.union_steps >= options.max_states
 
     def reached():
         return capped() or (deadline is not None and time.monotonic() > deadline)

@@ -13,9 +13,9 @@ import pytest
 
 from linkgraph import families
 from linkgraph.canon import canonical_form, is_isomorphic
-from linkgraph.construct import link_graph, path_graph
+from linkgraph.construct import link_graph, path_graph, path_units
 from linkgraph.incidence import is_l_minimal
-from linkgraph.links import count_links
+from linkgraph.links import count_links, iter_links
 from linkgraph.multigraph import Multigraph
 from linkgraph import search as search_module
 from linkgraph.search import (
@@ -177,11 +177,13 @@ def test_search_options_rejected():
 
 
 def test_search_budget_exceeded():
+    # a stop counts only the states taken before it, which may be none
+    full = minimal_link_roots(families.cycle(6), 2)
     with pytest.raises(BudgetExceeded) as err:
         minimal_link_roots(
             families.cycle(6), 2, SearchOptions(budget_seconds=1e-4)
         )
-    assert err.value.stats.explored >= 1
+    assert err.value.stats.explored < full.stats.explored
     assert err.value.partial is not None
 
 
@@ -257,7 +259,7 @@ def test_every_state_cap_lists_the_roots_below_its_level(search, h, ell):
                 search(h, ell, SearchOptions(max_states=cap))
             stops.append((str(err.value), err.value.partial.canonical_set()))
             stats = err.value.stats
-            assert stats.explored + stats.union_steps == cap + 1
+            assert stats.explored + stats.union_steps == cap
         assert stops[0] == stops[1]
         message, partial = stops[0]
         level = int(re.fullmatch(
@@ -727,6 +729,50 @@ def test_links_gained_misses_a_pendant_crossed_twice():
     assert search_module._links_gained(columns, 3)(0, 2) == (2, 2)
     child = digon.add_edge(0, 2)
     assert count_links(child, 4) - count_links(digon, 4) == 3
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_paths_through_counts_the_child(ell):
+    # the paths of g + uv through uv are exactly its new ell-paths and its
+    # new (ell + 1)-paths, each of which adds a path-graph edge; so a child
+    # over either spare count is one that measure prunes
+    corpus = random_graph_corpus(seed=ell, count=40, max_n=6, max_m=7)
+    assert any(g.has_parallel_edges() for g in corpus)
+    through = search_module._paths_through
+    unbounded = (10**9, 10**9)
+    target = search_module._PathTarget(
+        families.path(1), ell, compute_bounds(families.path(1), ell), SearchOptions())
+
+    def path_count(graph, k):
+        return sum(1 for _ in iter_links(graph, k, distinct=True))
+
+    outcomes = Counter()
+    for g in corpus:
+        paths, pairs = map(len, path_units(g, ell, *unbounded))
+        counts = path_count(g, ell), path_count(g, ell + 1)
+        tests = []
+        for spare in (0, 1, 3):
+            target.required = (paths + spare, pairs + 2 * spare)
+            tests.append(target.crossing_prune(g, (paths, pairs), g.degrees()))
+        for u in range(g.n):
+            for v in range(u + 1, g.n + 1):
+                child = g.add_edge(u, v)
+                found = through(g, ell, u, v, unbounded)
+                assert found == (path_count(child, ell) - counts[0],
+                                 path_count(child, ell + 1) - counts[1]), (g, u, v)
+                child_pairs = len(path_units(child, ell, *unbounded)[1])
+                assert child_pairs - pairs >= found[1], (g, u, v)
+                for spare, exceeds in zip((0, 1, 3), tests):
+                    target.required = (paths + spare, pairs + 2 * spare)
+                    over = exceeds(u, v)
+                    outcomes[over] += 1
+                    if over:
+                        assert target.measure(child) is None, (g, u, v, spare)
+                for cap in range(found[0]):
+                    assert through(g, ell, u, v, (cap, 10**9))[0] == cap + 1
+                for cap in range(found[1]):
+                    assert through(g, ell, u, v, (10**9, cap))[1] == cap + 1
+    assert outcomes[True] and outcomes[False]
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
