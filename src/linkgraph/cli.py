@@ -54,72 +54,11 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linkgraph",
-        description="link graphs, path graphs, and minimal root enumeration",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, output=True):
-        p.add_argument("-l", "--ell", type=int, required=True)
-        if output:
-            p.add_argument("-o", "--output", help="output file (default stdout)")
-        p.add_argument("--max-links", type=int, default=DEFAULT_MAX_LINKS)
-
-    p = sub.add_parser("link", help="construct the ell-link graph")
-    common(p)
-    p.add_argument("input")
-    p.add_argument("--partitions", help="write the link partitions here")
-    p.add_argument("--provenance", help="write unit provenance TSV here")
-    p.add_argument("--dot", help="write DOT with provenance labels here")
-
-    p = sub.add_parser("pathgraph", help="construct the ell-path graph")
-    common(p)
-    p.add_argument("input")
-    p.add_argument("--provenance")
-    p.add_argument("--dot")
-
-    p = sub.add_parser("incidence", help="ell-incidence subgraph and flags")
-    common(p)
-    p.add_argument("input")
-
-    p = sub.add_parser("minimal", help="test ell-minimality")
-    common(p, output=False)
-    p.add_argument("input")
-
-    p = sub.add_parser("equiv", help="test ell-equivalence of two graphs")
-    common(p, output=False)
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = sub.add_parser("expand", help="apply an expansion recipe")
-    common(p)
-    p.add_argument("input")
-    p.add_argument("recipe")
-
-    p = sub.add_parser("analyze", help="metrics, degree sets, census")
-    common(p, output=False)
-    p.add_argument("input")
-
-    p = sub.add_parser("roots", help="enumerate minimal roots")
+def _common(p, output=True):
     p.add_argument("-l", "--ell", type=int, required=True)
-    p.add_argument("input")
-    p.add_argument("--path", action="store_true", help="path roots instead")
-    p.add_argument("--outdir", default="roots")
-    p.add_argument("--trees-only", action="store_true")
-    p.add_argument("--forests-only", action="store_true")
-    p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--budget", type=float, help="time budget in seconds")
-    p.add_argument(
-        "--max-states", type=int, default=SearchOptions.max_states,
-        help="most candidate states the search explores",
-    )
-
-    p = sub.add_parser("canon", help="canonical form hex")
-    p.add_argument("input")
-
-    return parser
+    if output:
+        p.add_argument("-o", "--output", help="output file (default stdout)")
+    p.add_argument("--max-links", type=int, default=DEFAULT_MAX_LINKS)
 
 
 def _check_values(args: argparse.Namespace):
@@ -142,6 +81,14 @@ def _fmt_value(x):
     return "INF" if x == INFINITE else str(int(x))
 
 
+def _link_args(p):
+    _common(p)
+    p.add_argument("input")
+    p.add_argument("--partitions", help="write the link partitions here")
+    p.add_argument("--provenance", help="write unit provenance TSV here")
+    p.add_argument("--dot", help="write DOT with provenance labels here")
+
+
 def _cmd_link(args: argparse.Namespace) -> int:
     g = read_multigraph(args.input)
     result = link_graph(g, args.ell, max_links=args.max_links)
@@ -155,6 +102,13 @@ def _cmd_link(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _pathgraph_args(p):
+    _common(p)
+    p.add_argument("input")
+    p.add_argument("--provenance")
+    p.add_argument("--dot")
+
+
 def _cmd_pathgraph(args: argparse.Namespace) -> int:
     g = read_multigraph(args.input)
     result = path_graph(g, args.ell, max_links=args.max_links)
@@ -164,6 +118,11 @@ def _cmd_pathgraph(args: argparse.Namespace) -> int:
     if args.dot:
         _emit(result_to_dot(result), args.dot)
     return EXIT_OK
+
+
+def _graph_args(p):
+    _common(p)
+    p.add_argument("input")
 
 
 def _cmd_incidence(args: argparse.Namespace) -> int:
@@ -178,6 +137,11 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
         out.append(f"# edge {e} {args.ell}-incident: {flag}")
     _emit("\n".join(out) + "\n", args.output)
     return EXIT_OK
+
+
+def _graph_stdout_args(p):
+    _common(p, output=False)
+    p.add_argument("input")
 
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
@@ -195,6 +159,12 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _equiv_args(p):
+    _common(p, output=False)
+    p.add_argument("first")
+    p.add_argument("second")
+
+
 def _cmd_equiv(args: argparse.Namespace) -> int:
     a = read_multigraph(args.first)
     b = read_multigraph(args.second)
@@ -203,6 +173,12 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         return EXIT_OK
     print("not equivalent")
     return EXIT_NEGATIVE
+
+
+def _expand_args(p):
+    _common(p)
+    p.add_argument("input")
+    p.add_argument("recipe")
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
@@ -244,6 +220,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _roots_args(p):
+    p.add_argument("-l", "--ell", type=int, required=True)
+    p.add_argument("input")
+    p.add_argument("--path", action="store_true", help="path roots instead")
+    p.add_argument("--outdir", default="roots")
+    p.add_argument("--trees-only", action="store_true")
+    p.add_argument("--forests-only", action="store_true")
+    p.add_argument("--connected-only", action="store_true")
+    p.add_argument("--budget", type=float, help="time budget in seconds")
+    p.add_argument(
+        "--max-states", type=int, default=SearchOptions.max_states,
+        help="most candidate states the search explores",
+    )
+
+
 def _cmd_roots(args: argparse.Namespace) -> int:
     options = SearchOptions(
         forests_only=args.forests_only or args.trees_only,
@@ -272,34 +263,60 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _canon_args(p):
+    p.add_argument("input")
+
+
 def _cmd_canon(args: argparse.Namespace) -> int:
     g = read_multigraph(args.input)
     print(canonical_form(g).hex())
     return EXIT_OK
 
 
+# name -> (help, function adding its arguments, handler), in --help order
 _COMMANDS = {
-    "link": _cmd_link,
-    "pathgraph": _cmd_pathgraph,
-    "incidence": _cmd_incidence,
-    "minimal": _cmd_minimal,
-    "equiv": _cmd_equiv,
-    "expand": _cmd_expand,
-    "analyze": _cmd_analyze,
-    "roots": _cmd_roots,
-    "canon": _cmd_canon,
+    "link": ("construct the ell-link graph", _link_args, _cmd_link),
+    "pathgraph": ("construct the ell-path graph", _pathgraph_args, _cmd_pathgraph),
+    "incidence": ("ell-incidence subgraph and flags", _graph_args, _cmd_incidence),
+    "minimal": ("test ell-minimality", _graph_stdout_args, _cmd_minimal),
+    "equiv": ("test ell-equivalence of two graphs", _equiv_args, _cmd_equiv),
+    "expand": ("apply an expansion recipe", _expand_args, _cmd_expand),
+    "analyze": ("metrics, degree sets, census", _graph_stdout_args, _cmd_analyze),
+    "roots": ("enumerate minimal roots", _roots_args, _cmd_roots),
+    "canon": ("canonical form hex", _canon_args, _cmd_canon),
 }
 
 
+def _parser(names=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in ``names``."""
+    parser = argparse.ArgumentParser(
+        prog="linkgraph",
+        description="link graphs, path graphs, and minimal root enumeration",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    if len(names) < len(_COMMANDS):
+        # the usage line of an "unrecognized arguments" error lists every
+        # command, also when only some were built
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the named command's subparser: building all of them costs
+    # more than parsing.  Anything else (help, no or unknown command) gets
+    # the full parser and its messages.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args = _parser(names).parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
     try:
         _check_values(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (OSError, FormatError, MultigraphError, RecipeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,6 +25,7 @@ from .links import (
     Link,
     LinkCountExceeded,
     _canonical,
+    _count_text,
     count_arcs_by_length,
     is_link_of,
     iter_links,
@@ -77,7 +78,7 @@ def link_graph(
     total = arcs[ell] // 2 if ell else arcs[0]
     if total > max_links:
         raise ConstructionError(
-            f"|L_{ell}(G)| = {total} exceeds the cap of {max_links}"
+            f"|L_{ell}(G)| = {_count_text(total)} exceeds the cap of {max_links}"
         )
     if arcs[ell + 1] // 2 > max_links:
         raise LinkCountExceeded(arcs[ell + 1] // 2, max_links)

@@ -19,11 +19,28 @@ from __future__ import annotations
 from .multigraph import INFINITE, Multigraph, MultigraphError
 
 
+def _count_text(n: int) -> str:
+    """n in decimal, or "a D-digit number" once it has more than 20 digits.
+
+    Link counts grow exponentially with ell: a 50-edge bond has a
+    1691-digit count at ell 1000, and str() refuses ints past 4300 digits.
+    """
+    if n < 10**20:
+        return str(n)
+    # start from (bit length - 1) * log10(2), which does not pass the answer
+    digits = int((n.bit_length() - 1) * 0.30102999566398120)
+    while 10**digits <= n:
+        digits += 1
+    return f"a {digits}-digit number"
+
+
 class LinkCountExceeded(RuntimeError):
     """Raised when a materializing enumeration would exceed its budget."""
 
     def __init__(self, count, cap):
-        super().__init__(f"enumeration of {count} links exceeds the cap of {cap}")
+        super().__init__(
+            f"enumeration of {_count_text(count)} links exceeds the cap of {cap}"
+        )
         self.count = count
         self.cap = cap
 

@@ -1,3 +1,5 @@
+import argparse
+import sys
 
 import pytest
 
@@ -82,6 +84,22 @@ def test_link_cap_messages(tmp_path, capsys):
         assert main(["link", "-l", str(ell), "--max-links", str(cap), path]) == 3
         assert capsys.readouterr().err.splitlines() == [message]
 
+
+
+def test_cap_messages_shorten_huge_counts(tmp_path, capsys):
+    # a 50-edge bond has 50 * 49^(ell - 1) ell-links: 1691 digits at ell
+    # 1000, and past the 4300 digits str() converts at ell 2600
+    path = write_graph(tmp_path, "bond.mg", Multigraph(2, [(0, 1)] * 50))
+    cases = [
+        ("link", 1000, 1691),
+        ("link", 2600, 4395),
+        ("analyze", 2600, 4395),
+    ]
+    for command, ell, digits in cases:
+        assert main([command, "-l", str(ell), path]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: |L_{ell}(G)| = a {digits}-digit number exceeds the cap of 1000000"
+        ]
 
 def test_minimal_positive_and_negative(tmp_path, capsys):
     chord = Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
@@ -318,6 +336,42 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["canon", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name in cli._COMMANDS]
+    + [["--help"], [], ["bogus"], ["ro"], ["link"], ["roots", "-l", "1", "x", "-q"]],
+)
+def test_per_command_parser_speaks_as_the_full_one(argv, capsys):
+    # main builds only the named command's subparser; help, usage errors
+    # and exit codes must read as those of the parser with every command
+    with pytest.raises(SystemExit) as stop:
+        cli._parser().parse_args(argv)
+    expected = (2 if stop.value.code else 0, capsys.readouterr())
+    assert (main(argv), capsys.readouterr()) == expected
+
+
+def test_main_builds_one_subparser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["canon", write_graph(tmp_path, "k3.mg", families.complete(3))]) == 0
+    assert built == ["linkgraph", "linkgraph canon"]
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = write_graph(tmp_path, "k3.mg", families.complete(3))
+    assert main(["canon", path]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["linkgraph", "canon", path])
+    assert main() == 0
+    assert capsys.readouterr() == expected
 
 def test_io_errors_are_input_errors(tmp_path, capsys):
     # an unreadable input or an unusable --outdir exits 2 with one line
