@@ -13,7 +13,10 @@ the change read better (ties count for neither side).  ``gain`` marks a
 metric where the change won at least nine of the ten pairs, the medians
 differ by more than the quartile distance of the parent's runs, and the
 change failed no more operations than the parent: the rule a claimed
-speed-up must meet (README, "Scale" and ``bench_record.py``).
+speed-up must meet (README, "Scale" and ``bench_record.py``).  Each run
+starts with an empty bytecode cache of its own, as in ``bench_record.py``,
+so both sides' ``setup_s`` include compiling the library from source and
+neither reads a warm ``__pycache__`` of its checkout.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT CHANGE [--first-seed S]

@@ -14,6 +14,15 @@ the same workload and seed, and the per-layer metrics it prints (such as
 same way, next to the end-to-end ones.  End-to-end metrics come only from
 the untraced runs.
 
+Every run starts with an empty bytecode cache of its own
+(``PYTHONPYCACHEPREFIX`` set to a fresh temporary directory), so no run
+reads bytecode that an earlier run or the checkout's ``__pycache__`` left
+behind, and ``setup_s``, the import plus the input generation, includes
+compiling the library (and the standard-library modules it imports) from
+source on every checkout alike.  A checkout with a warm ``__pycache__``
+would otherwise read a set-up several times shorter than a fresh copy of
+the same code.
+
 <commit> is the short hash of CHECKOUT's HEAD, followed by ``-dirty`` when
 its ``src/`` or ``perfbench/`` differ from that commit.  ``src_sha256`` in
 the file is perfbench's digest of the measured ``src/linkgraph``.
@@ -27,9 +36,11 @@ failed operation.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,12 +61,15 @@ def commit_label(checkout):
 
 
 def run_once(checkout, command, workload, seed, seconds, trace):
-    """One benchmark process; its meta line and result line."""
-    proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    """One benchmark process, under an empty bytecode cache of its own;
+    its meta line and result line."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [*command, "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
+        )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("meta "):
         raise RuntimeError(

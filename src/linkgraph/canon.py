@@ -113,42 +113,59 @@ class _ComponentCanon:
     """The search tree of one component, over local ids: x stands for
     ``verts[x]``.  A node's ordered partition is a pair of lists: col[x] is
     the start position of x's cell and cells[start] that cell's members in
-    increasing order, with None where no cell starts.  A node owns its col and cells, but shares the member lists with
-    its parent, so a list is replaced, never changed."""
+    increasing order, with None where no cell starts.  A node owns its col
+    and cells, but shares the member lists with its parent, so a list is
+    replaced, never changed."""
 
     def __init__(self, verts, init, edges):
         self.verts = verts
         self.init = init  # initial colour per local id
-        index = {v: x for x, v in enumerate(verts)}
-        self.edges = [(index[u], index[v]) for u, v in edges]
+        # verts is sorted, so it is 0..k-1 exactly when it ends at k - 1;
+        # then the local ids are the graph's and need no map
+        self.identity = verts[-1] == len(verts) - 1
+        if not self.identity:
+            index = {v: x for x, v in enumerate(verts)}
+            edges = [(index[u], index[v]) for u, v in edges]
+        self.edges = edges
         weights = [{} for _ in verts]
-        for a, b in self.edges:
-            weights[a][b] = weights[a].get(b, 0) + 1
-            weights[b][a] = weights[b].get(a, 0) + 1
+        top = 0
+        for a, b in edges:
+            w = weights[a].get(b, 0) + 1
+            weights[a][b] = weights[b][a] = w
+            if w > top:
+                top = w
+        self.weights = weights
         self.wadj = [tuple(w.items()) for w in weights]
         # _refine signs a neighbour u of weight w as col[u] * scale + w,
         # which orders like the pair (col[u], w) since every w < scale
-        self.scale = 1 + max((w for ws in weights for w in ws.values()), default=0)
-        self.pair_weight = {(a, b): w for a, ws in enumerate(weights) for b, w in ws.items()}
+        self.scale = top + 1
         self.leaves = 0
         self.first = None  # (cert, col, path) of the first leaf
         self.best = None  # the same for the first leaf with the least cert
         self.generators = []  # automorphisms found, as sparse dicts
 
     def run(self):
-        """(certificate, labelling, automorphisms) in the graph's vertex ids."""
+        """(certificate, labelling, automorphisms): the labelling is the
+        label of each local id, the automorphisms are in the graph's
+        vertex ids."""
         col, cells = self._initial_partition()
         self._descend(col, cells, range(len(col)), ())
         cert, col, _ = self.best
+        if self.identity:
+            return cert, col, self.generators
         verts = self.verts
-        lab = {v: col[x] for x, v in enumerate(verts)}
         generators = [
             {verts[x]: verts[y] for x, y in gamma.items()} for gamma in self.generators
         ]
-        return cert, lab, generators
+        return cert, col, generators
 
     def _initial_partition(self):
         """The cells of equal initial colour, in colour order."""
+        n = len(self.init)
+        if not any(self.init):  # one colour, one cell
+            cells = [None] * n
+            cells[0] = list(range(n))
+            return [0] * n, cells
         by_color = {}
         for x, c in enumerate(self.init):
             by_color.setdefault(c, []).append(x)
@@ -216,8 +233,9 @@ class _ComponentCanon:
                 first_ext = ext
             elif ext != first_ext:
                 return False
+        weights = self.weights
         intra = {
-            self.pair_weight.get((cls[i], cls[j]), 0)
+            weights[cls[i]].get(cls[j], 0)
             for i in range(len(cls))
             for j in range(i + 1, len(cls))
         }
@@ -297,9 +315,7 @@ def _pack(n, m, edges, colors) -> bytes:
     out = bytearray()
     out.append(n)
     out += m.to_bytes(2, "big")
-    for a, b in edges:
-        out.append(a)
-        out.append(b)
+    out += bytes([x for edge in edges for x in edge])
     if any(colors):
         out.append(0xFF)
         for c in colors:
@@ -317,6 +333,8 @@ def _unpack(data: bytes) -> Multigraph:
 def _component_edges(g: Multigraph):
     """Each component's vertices with its edges in edge-id order."""
     comps = g.components()
+    if len(comps) == 1:
+        return [(comps[0], g.edges)]
     comp_of = [0] * g.n
     for i, comp in enumerate(comps):
         for v in comp:
@@ -369,16 +387,18 @@ def canonical_search(g: Multigraph, colors=None):
     all_colors = []
     for cert, lab, comp in results:
         size, _, edges, init = cert
-        for v in comp:
-            labeling[v] = lab[v] + offset
+        for v, label in zip(comp, lab):
+            labeling[v] = label + offset
         all_edges.extend((a + offset, b + offset) for a, b in edges)
         all_colors.extend(init)
         offset += size
-    for (cert_a, lab_a, _), (cert_b, lab_b, _) in zip(results, results[1:]):
+    for (cert_a, lab_a, comp_a), (cert_b, lab_b, comp_b) in zip(results, results[1:]):
         if cert_a == cert_b:
-            vertex_at = {label: w for w, label in lab_b.items()}
+            vertex_at = [0] * len(comp_b)
+            for w, label in zip(comp_b, lab_b):
+                vertex_at[label] = w
             swap = {}
-            for v, label in lab_a.items():
+            for v, label in zip(comp_a, lab_a):
                 w = vertex_at[label]
                 swap[v], swap[w] = w, v
             generators.append(swap)

@@ -155,8 +155,9 @@ def path_units(g: Multigraph, ell: int, path_cap: int, pair_cap: int):
     (ell + 1)-path or closes an (ell + 1)-cycle at its first vertex; that
     walk joins the path to its other end ell-subsequence.  Returns
     (paths, pairs) with the paths as canonical sequences in walk order and
-    the edges as sorted pairs of them, or None as soon as the paths pass
-    ``path_cap`` or the pairs pass ``pair_cap``.
+    the edges as sorted pairs of them.  Raises LinkCountExceeded, naming
+    the cap, as soon as the paths pass ``path_cap`` or the pairs pass
+    ``pair_cap``.
     """
     paths = []
     pairs = set()
@@ -164,7 +165,7 @@ def path_units(g: Multigraph, ell: int, path_cap: int, pair_cap: int):
     for seq in iter_links(g, ell, distinct=True):
         paths.append(seq)
         if len(paths) > path_cap:
-            return None
+            raise LinkCountExceeded(None, path_cap, f"{ell}-paths")
         for walk in (seq, seq[::-1]) if ell else (seq,):
             last_e = walk[-2] if ell else -1
             inner = walk[2::2]  # every vertex but the first
@@ -174,7 +175,7 @@ def path_units(g: Multigraph, ell: int, path_cap: int, pair_cap: int):
                 tail = _canonical((walk + (e, w))[2:])
                 pairs.add((seq, tail) if seq <= tail else (tail, seq))
         if len(pairs) > pair_cap:
-            return None
+            raise LinkCountExceeded(None, pair_cap, "path-graph edges")
     return paths, pairs
 
 
@@ -188,10 +189,7 @@ def path_graph(
     """
     if ell < 0:
         raise MultigraphError("ell must be non-negative")
-    units = path_units(g, ell, max_links, max_links)
-    if units is None:
-        raise LinkCountExceeded(max_links + 1, max_links)
-    seqs, pairs = units
+    seqs, pairs = path_units(g, ell, max_links, max_links)
     paths = tuple(map(Link._of_canonical, sorted(seqs)))
     index = {p.seq: i for i, p in enumerate(paths)}
     # paths are numbered in sorted order and each pair is sorted, so i < j

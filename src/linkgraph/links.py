@@ -35,12 +35,14 @@ def _count_text(n: int) -> str:
 
 
 class LinkCountExceeded(RuntimeError):
-    """Raised when a materializing enumeration would exceed its budget."""
+    """Raised when a materializing enumeration would exceed its budget.
 
-    def __init__(self, count, cap):
-        super().__init__(
-            f"enumeration of {_count_text(count)} links exceeds the cap of {cap}"
-        )
+    ``count`` is None when the enumeration stopped as soon as it passed the
+    cap, without counting on; ``units`` names what was counted."""
+
+    def __init__(self, count, cap, units="links"):
+        amount = f"more than {cap}" if count is None else _count_text(count)
+        super().__init__(f"enumeration of {amount} {units} exceeds the cap of {cap}")
         self.count = count
         self.cap = cap
 

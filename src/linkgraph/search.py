@@ -17,14 +17,14 @@ is always tried, so the same children are reached as without the orbits,
 and a generating set that missed part of the group would only cost time.
 Most children over the target's sizes are skipped before they are built,
 and counted as pruned like those measured.  In link mode the parent's walk
-counts bound the child's from below.  In path mode the paths of g + uv
-through its new edge are counted on g: with ell edges they are exactly
-the child's new ell-paths, and with ell + 1 edges each adds an edge to the
-path graph.  A proposal that passes the orbit test and this prune is
-built; then link mode measures it and runs the deletion pre-test below on
-the walk columns it measured, while path mode, whose pre-test reads only
-degrees, runs the pre-test first and lists the child's paths only if it
-passes.
+counts bound the child's from below; a proposal that passes the orbit test
+and this prune is built and measured, and the deletion pre-test below runs
+on the walk columns it measured.  In path mode the ell-paths of g + uv
+through its new edge, and the (ell + 1)-paths and (ell + 1)-cycles through
+it, are counted on g: they give the child's new ell-paths and new
+path-graph edges exactly.  So the prune is exact, the child's sizes are
+the parent's plus these counts, and a built child only meets the deletion
+pre-test, which reads degrees; no path is listed inside the search.
 
 Most children that survive the prunes belong to a class already reached,
 and a canonical-deletion pre-test (McKay, as above) drops nearly all of
@@ -99,7 +99,7 @@ from .families import cycle as cycle_graph
 from .families import middle_joined_paths, path as path_graph_family
 from .families import subdivided_star, tailed_path
 from .incidence import is_l_minimal
-from .links import _walk_tables, iter_links
+from .links import LinkCountExceeded, _walk_tables, iter_links
 from .multigraph import (
     InternalCheckError,  # raised by the checks below; callers catch it here
     Multigraph,
@@ -182,12 +182,12 @@ class SearchStats:
 
     A target searched block by block counts the sum over its block
     searches, except ``accepted``, the number of roots of the target.
-    ``pruned`` counts the children over the target's sizes, most of them
-    skipped on the parent's counts before they are built.
-    ``deletion_skipped`` counts the children whose new edge cannot be the
-    canonical deletion, skipped before labelling: in link mode those inside
-    the sizes, in path mode, which tests this first, those the parent's
-    counts did not prune.  Every other candidate is labelled once.
+    ``pruned`` counts the children over the target's sizes, skipped on the
+    parent's counts before they are built: in path mode all of them, whose
+    counts are exact, in link mode most.  ``deletion_skipped`` counts the
+    children inside the sizes whose new edge cannot be the canonical
+    deletion, skipped before labelling.  Every other candidate is labelled
+    once.
     ``explored`` counts the states taken from a level and ``union_steps``
     the steps of a disconnected target's union phase; a stop comes before
     the step it refuses, so a cap stop leaves their sum at the cap.
@@ -296,10 +296,12 @@ class _Target:
     so that prunes every supergraph of g too.  Each mode also supplies
     ``complete(g)``, its minimality test on a graph of the right sizes,
     ``build(g)``, the construction, and ``audit``, the bound lemmas every
-    root it returns must satisfy.  ``crossing_prune(g, sizes, values)``
-    may give a test that skips, before it is built, a child g + uv that
-    ``measure`` would prune, and ``admit`` runs the remaining tests on a
-    built child.
+    root it returns must satisfy.  ``crossing(g, sizes, values)``, given
+    g's ``measure``, returns a function of a proposal (u, v): None when the
+    child g + uv is over the target's sizes, so it is skipped before it is
+    built, else sizes that bound the child's from below: g's own in link
+    mode, the child's exactly in path mode.  ``admit(child, sizes, stats)``
+    takes those sizes and runs the remaining tests on the built child.
     """
 
     def __init__(self, h, ell, bounds, options):
@@ -311,23 +313,6 @@ class _Target:
             bounds.required_link_count,
             bounds.required_super_link_count,
         )
-
-    def crossing_prune(self, g: Multigraph, sizes, values):
-        return None
-
-    def admit(self, child: Multigraph, stats):
-        """The child's ``measure`` when it is inside the target's sizes and
-        its new edge may be its canonical deletion; otherwise None, with
-        the child counted in ``stats`` as pruned or deletion-skipped.  The
-        deletion test reads the values ``measure`` gives, so it comes
-        second."""
-        measured = self.measure(child)
-        if measured is None:
-            stats.pruned += 1
-        elif not _may_delete_last(child, measured[1]):
-            stats.deletion_skipped += 1
-            return None
-        return measured
 
     def try_accept(self, g: Multigraph, cert: CanonicalForm, sizes):
         if sizes != self.required:
@@ -394,18 +379,34 @@ class _LinkTarget(_Target):
             return None
         return (links, super_links), columns
 
-    def crossing_prune(self, g: Multigraph, sizes, columns):
+    def crossing(self, g: Multigraph, sizes, columns):
         if g.n == 0:
-            return None
+            return lambda u, v: sizes  # sizes only grow
         gained = _links_gained(columns, self.ell)
         spare_links = self.required[0] - sizes[0]
         spare_super_links = self.required[1] - sizes[1]
 
-        def exceeds(u, v):
+        def child_sizes(u, v):
             links, super_links = gained(u, v)
-            return links > spare_links or super_links > spare_super_links
+            if links > spare_links or super_links > spare_super_links:
+                return None
+            return sizes
 
-        return exceeds
+        return child_sizes
+
+    def admit(self, child: Multigraph, sizes, stats):
+        """The child's ``measure`` when it is inside the target's sizes and
+        its new edge may be its canonical deletion; otherwise None, with
+        the child counted in ``stats`` as pruned or deletion-skipped.  The
+        deletion test reads the walk columns ``measure`` gives, so it comes
+        second; ``sizes``, the parent's, are not read."""
+        measured = self.measure(child)
+        if measured is None:
+            stats.pruned += 1
+        elif not _may_delete_last(child, measured[1]):
+            stats.deletion_skipped += 1
+            return None
+        return measured
 
     def complete(self, g: Multigraph) -> bool:
         if component_census(g)[1] > self.bounds.max_cyclic_components:
@@ -429,20 +430,32 @@ def is_path_minimal(g: Multigraph, ell: int) -> bool:
 
 
 def _paths_through(g: Multigraph, ell: int, u: int, v: int, spare) -> tuple:
-    """The numbers of ell- and (ell + 1)-paths of g + uv that use its new
-    edge uv; v = g.n is a new vertex.  The count stops as soon as one of
-    them passes its bound in ``spare``, and that one then reads one past it.
+    """The numbers of ell-paths and of ell-path-graph edges that g + uv has
+    and g has not; v = g.n is a new vertex.  The count stops as soon as one
+    of them passes its bound in ``spare``, and that one then reads one past
+    it.
 
-    Such a path is a path of g ending at u, then uv, then a path of g from
-    v with no vertex in common with the first.  Each is grown once from
-    uv: at u's end, then at v's end, and never again at u's once it has
-    grown at v's.  An ell-path of g + uv is one of g's or one of these, so
-    the first count is exact; every new (ell + 1)-path adds an edge to the
-    path graph, so the second bounds the new edges from below.
+    A new ell-path uses uv: it is a path of g ending at u, then uv, then a
+    path of g from v with no vertex in common with the first.  Each is
+    grown once from uv: at u's end, then at v's end, and never again at u's
+    once it has grown at v's.  Two ell-paths are adjacent when together
+    they form an (ell + 1)-path or close an (ell + 1)-cycle, and the new
+    edges are those of the paths and cycles through uv.  A new path gives
+    one (ell + 1)-path per step off the end it grows at, and off v while it
+    may still grow there; so each new (ell + 1)-path is counted once, on
+    the new ell-path inside it with the fewest edges past v.  A cycle through
+    uv is counted once, on the new path that runs from v through u round to
+    the cycle's last vertex: that path has grown at u's end only, and its
+    end has an edge of g to v, one cycle per such edge.  A cycle gives one
+    edge per two of its ell-paths that miss neighbouring edges, ell + 1 of
+    them; at ell = 1 it is uv with a parallel edge, whose two 1-paths give
+    one edge.  Every edge they give has a new path, so both counts are
+    exact.
     """
     adj = g.adjacency
-    most_short, most_long = spare
-    short = long = 0
+    most_paths, most_pairs = spare
+    per_cycle = ell + 1 if ell > 1 else 1
+    paths = pairs = 0
     # (the end it grows at, its vertices, whether it may still grow at v);
     # a new vertex v has no edge of g to grow along
     stack = [(u, (v, u), v < g.n)]
@@ -457,17 +470,19 @@ def _paths_through(g: Multigraph, ell: int, u: int, v: int, spare) -> tuple:
                     if w not in used:
                         stack.append((w, used + (w,), False))
             continue
-        short += 1
+        paths += 1
         for _, w in adj[x]:
             if w not in used:
-                long += 1
+                pairs += 1
+            elif at_v and w == v:  # closes a cycle through uv
+                pairs += per_cycle
         if at_v:
             for _, w in adj[v]:
                 if w not in used:
-                    long += 1
-        if short > most_short or long > most_long:
+                    pairs += 1
+        if paths > most_paths or pairs > most_pairs:
             break
-    return min(short, most_short + 1), min(long, most_long + 1)
+    return min(paths, most_paths + 1), min(pairs, most_pairs + 1)
 
 
 class _PathTarget(_Target):
@@ -490,33 +505,37 @@ class _PathTarget(_Target):
         self.max_multiplicity = h.n
 
     def measure(self, g: Multigraph):
-        units = path_units(g, self.ell, *self.required)
-        if units is None:
+        try:
+            paths, pairs = path_units(g, self.ell, *self.required)
+        except LinkCountExceeded:
             return None
-        paths, pairs = units
         return (len(paths), len(pairs)), g.degrees()
 
-    def crossing_prune(self, g: Multigraph, sizes, degrees):
+    def crossing(self, g: Multigraph, sizes, degrees):
         if g.n == 0:
-            return None
-        spare = (self.required[0] - sizes[0], self.required[1] - sizes[1])
+            # the empty graph's one child is K2: one 1-path, no longer path
+            return lambda u, v: (int(self.ell == 1), 0)
+        paths, pairs = sizes
+        spare = (self.required[0] - paths, self.required[1] - pairs)
 
-        def exceeds(u, v):
-            paths, pairs = _paths_through(g, self.ell, u, v, spare)
-            return paths > spare[0] or pairs > spare[1]
+        def child_sizes(u, v):
+            more_paths, more_pairs = _paths_through(g, self.ell, u, v, spare)
+            if more_paths > spare[0] or more_pairs > spare[1]:
+                return None
+            return paths + more_paths, pairs + more_pairs
 
-        return exceeds
+        return child_sizes
 
-    def admit(self, child: Multigraph, stats):
-        # the deletion values are the degrees, so the test can come before
-        # the child's paths are listed; the same children pass both tests
-        if not _may_delete_last(child, child.degrees()):
+    def admit(self, child: Multigraph, sizes, stats):
+        """``sizes``, the child's, and its degrees, unless its new edge
+        cannot be its canonical deletion; then None, with the child counted
+        in ``stats`` as deletion-skipped.  The crossing count made the sizes
+        exact, so no path of the child is listed."""
+        degrees = child.degrees()
+        if not _may_delete_last(child, degrees):
             stats.deletion_skipped += 1
             return None
-        measured = self.measure(child)
-        if measured is None:
-            stats.pruned += 1
-        return measured
+        return sizes, degrees
 
     def complete(self, g: Multigraph) -> bool:
         return is_path_minimal(g, self.ell)
@@ -665,17 +684,18 @@ def _orderly_search(targets, stats, reached, unions=None):
             proposals = _proposals(g, target)
             # One proposal per orbit of Aut(g); new vertices are fixed points.
             firsts = orbit_roots(proposals, generators)
-            exceeds = target.crossing_prune(g, sizes, values)
+            crossing = target.crossing(g, sizes, values)
             for i, (u, v) in enumerate(proposals):
                 if firsts[i] != i:
                     stats.orbit_skipped += 1
                     continue
                 stats.candidates_generated += 1
-                if exceeds is not None and exceeds(u, v):
+                bound = crossing(u, v)
+                if bound is None:
                     stats.pruned += 1
                     continue
                 child = g.add_edge(u, v)
-                measured = target.admit(child, stats)
+                measured = target.admit(child, bound, stats)
                 if measured is None:
                     continue
                 child_sizes, child_values = measured

@@ -10,6 +10,7 @@ from linkgraph.canon import (
     automorphism_generators,
     canonical_form,
     canonical_labeling,
+    canonical_search,
     find_isomorphism,
     is_isomorphic,
     verify_isomorphism,
@@ -425,6 +426,27 @@ def test_golden_random_corpus_digest():
         generators.update(_generators_bytes(g))
     assert (labels.hexdigest()[:16], generators.hexdigest()[:16]) == (
         "f9e4714be4d166db", "77a005a3221bdb95")
+
+
+def test_golden_small_graph_digest():
+    # the graphs a root search labels have 2-10 vertices; every class of
+    # exhaustive_multigraphs(7, 7) as it comes (one component on 0..n-1),
+    # relabelled by a seeded shuffle, that with random 2-colours, and that
+    # with an isolated vertex: one sha256 over each form, labeling and
+    # generator list, recorded before the per-call trims of canonical_search
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    for g in exhaustive_multigraphs(7, 7):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = g.relabel(dict(enumerate(perm)))
+        colors = [rng.randrange(2) for _ in range(g.n)]
+        cases = ((g, None), (shuffled, None), (shuffled, colors),
+                 (shuffled.disjoint_union(Multigraph(1)), None))
+        for graph, coloring in cases:
+            form, lab, generators = canonical_search(graph, coloring)
+            digest.update(form.data + bytes(lab) + repr(generators).encode())
+    assert digest.hexdigest()[:16] == "3c01b21f70e723af"
 
 
 def test_automorphism_pruning_bounds_leaves(monkeypatch):

@@ -71,6 +71,25 @@ def test_pathgraph_cap_counts_paths_and_edges(tmp_path, capsys):
         assert len(err) == 1 and f"exceeds the cap of {cap}" in err[0]
 
 
+def test_pathgraph_cap_messages_name_the_cap(tmp_path, capsys):
+    # the walk stops as soon as a count passes the cap, so the message says
+    # which cap and "more than": the 12-bundle's 1-path graph is K12 (66
+    # edges), and the first 1-path already makes 11 of them; a matching of
+    # six edges has six 1-paths and no path-graph edge
+    cases = [
+        (Multigraph(2, [(0, 1)] * 12), 60,
+         "error: enumeration of more than 60 path-graph edges exceeds the cap of 60"),
+        (Multigraph(2, [(0, 1)] * 12), 10,
+         "error: enumeration of more than 10 path-graph edges exceeds the cap of 10"),
+        (Multigraph(12, [(2 * i, 2 * i + 1) for i in range(6)]), 5,
+         "error: enumeration of more than 5 1-paths exceeds the cap of 5"),
+    ]
+    for graph, cap, message in cases:
+        path = write_graph(tmp_path, "g.mg", graph)
+        assert main(["pathgraph", "-l", "1", "--max-links", str(cap), path]) == 3
+        assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_link_cap_messages(tmp_path, capsys):
     # K4 has 4 0-links, 6 1-links and 12 2-links; the ell-link cap is
     # checked first, then the (ell + 1)-link cap

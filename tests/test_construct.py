@@ -223,10 +223,11 @@ def _check_path_caps(g, ell, paths, pairs):
 
     for path_cap in near(len(paths)):
         for pair_cap in near(len(pairs)):
-            units = path_units(g, ell, path_cap, pair_cap)
             if path_cap < len(paths) or pair_cap < len(pairs):
-                assert units is None, (g, ell, path_cap, pair_cap)
+                with pytest.raises(LinkCountExceeded):
+                    path_units(g, ell, path_cap, pair_cap)
             else:
+                units = path_units(g, ell, path_cap, pair_cap)
                 assert (set(units[0]), units[1]) == (paths, pairs)
     largest = max(len(paths), len(pairs))
     for cap in near(largest):

@@ -165,7 +165,9 @@ def test_paths_filter_repeated_vertices():
 
 def test_path_units_early_stop():
     g = families.complete(5)
-    assert path_units(g, 2, 3, 10**6) is None  # K5 has 30 2-paths
+    with pytest.raises(LinkCountExceeded) as info:  # K5 has 30 2-paths
+        path_units(g, 2, 3, 10**6)
+    assert str(info.value) == "enumeration of more than 3 2-paths exceeds the cap of 3"
     assert len(path_units(g, 2, 30, 10**6)[0]) == 30
     paths, pairs = path_units(families.path(4), 4, 1, 0)
     assert len(paths) == 1 and pairs == set()

@@ -144,6 +144,28 @@ def test_bench_record_summarises_runs(tmp_path, monkeypatch):
                 assert "canon.self_s" not in workload
 
 
+def test_bench_runs_start_with_an_empty_bytecode_cache(monkeypatch):
+    # each run gets its own empty PYTHONPYCACHEPREFIX, removed after it, so
+    # a warm __pycache__ in one checkout cannot shorten its setup_s
+    record = load_script("bench_record")
+    caches = []
+
+    def run(args, cwd, capture_output, text, env):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(cache) and not os.listdir(cache)
+        caches.append(cache)
+        stdout = 'meta {"nproc": 2}\n{"failed": 0, "metrics": {}}\n'
+        return subprocess.CompletedProcess(args, 0, stdout, "")
+
+    monkeypatch.setattr(record.subprocess, "run", run)
+    for seed in (1, 2):
+        meta, result = record.run_once(REPO, ["python3", "perfbench/run.py"],
+                                       "roots-path", seed, 0, 0)
+        assert meta == {"nproc": 2} and result["failed"] == 0
+    assert len(set(caches)) == 2
+    assert not any(os.path.exists(cache) for cache in caches)
+
+
 def test_benchmark_oracle_catches_wrong_results():
     proc = run_script("perfbench/test_oracle.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr

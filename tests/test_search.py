@@ -32,6 +32,7 @@ from linkgraph.search import (
 )
 
 from util import (
+    bond,
     brute_force_path_pairs,
     brute_force_paths,
     delete_unit,
@@ -733,9 +734,10 @@ def test_links_gained_misses_a_pendant_crossed_twice():
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_paths_through_counts_the_child(ell):
-    # the paths of g + uv through uv are exactly its new ell-paths and its
-    # new (ell + 1)-paths, each of which adds a path-graph edge; so a child
-    # over either spare count is one that measure prunes
+    # the paths of g + uv through uv are exactly its new ell-paths, and the
+    # (ell + 1)-paths and cycles through uv give exactly its new path-graph
+    # edges; so a child over either spare count is one that measure prunes,
+    # and any other child has the sizes measure gives
     corpus = random_graph_corpus(seed=ell, count=40, max_n=6, max_m=7)
     assert any(g.has_parallel_edges() for g in corpus)
     through = search_module._paths_through
@@ -749,30 +751,82 @@ def test_paths_through_counts_the_child(ell):
     outcomes = Counter()
     for g in corpus:
         paths, pairs = map(len, path_units(g, ell, *unbounded))
-        counts = path_count(g, ell), path_count(g, ell + 1)
-        tests = []
+        count = path_count(g, ell)
+        crossings = []
         for spare in (0, 1, 3):
             target.required = (paths + spare, pairs + 2 * spare)
-            tests.append(target.crossing_prune(g, (paths, pairs), g.degrees()))
+            crossings.append(target.crossing(g, (paths, pairs), g.degrees()))
         for u in range(g.n):
             for v in range(u + 1, g.n + 1):
                 child = g.add_edge(u, v)
                 found = through(g, ell, u, v, unbounded)
-                assert found == (path_count(child, ell) - counts[0],
-                                 path_count(child, ell + 1) - counts[1]), (g, u, v)
                 child_pairs = len(path_units(child, ell, *unbounded)[1])
-                assert child_pairs - pairs >= found[1], (g, u, v)
-                for spare, exceeds in zip((0, 1, 3), tests):
+                assert found == (path_count(child, ell) - count,
+                                 child_pairs - pairs), (g, u, v)
+                for spare, crossing in zip((0, 1, 3), crossings):
                     target.required = (paths + spare, pairs + 2 * spare)
-                    over = exceeds(u, v)
-                    outcomes[over] += 1
-                    if over:
-                        assert target.measure(child) is None, (g, u, v, spare)
+                    sizes = crossing(u, v)
+                    measured = target.measure(child)
+                    outcomes[sizes is None] += 1
+                    if sizes is None:
+                        assert measured is None, (g, u, v, spare)
+                    else:
+                        assert sizes == measured[0], (g, u, v, spare)
                 for cap in range(found[0]):
                     assert through(g, ell, u, v, (cap, 10**9))[0] == cap + 1
                 for cap in range(found[1]):
                     assert through(g, ell, u, v, (10**9, cap))[1] == cap + 1
     assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_paths_through_counts_the_closed_cycle(ell):
+    # the ell-path from u to v plus uv is C_(ell + 1): its ell + 1 paths
+    # and, for ell >= 2, its ell + 1 path-graph edges; at ell = 1 it is a
+    # 2-bundle, whose two 1-paths make one edge
+    g = families.path(ell)
+    child = g.add_edge(0, ell)
+    new_pairs = ell + 1 if ell > 1 else 1
+    assert search_module._paths_through(g, ell, 0, ell, (10**9, 10**9)) == (
+        ell, new_pairs)
+    paths, pairs = path_units(child, ell, 10**9, 10**9)
+    assert (len(paths), len(pairs)) == (ell + 1, new_pairs)
+
+
+@pytest.mark.parametrize("mu", [1, 2, 5])
+def test_paths_through_counts_a_bundle(mu):
+    # at ell = 1 a new copy of a mu-bundle is one more 1-path, adjacent to
+    # each of the mu copies: one path-graph edge per parallel edge
+    g = bond(mu)
+    assert search_module._paths_through(g, 1, 0, 1, (10**9, 10**9)) == (1, mu)
+    paths, pairs = path_units(g.add_edge(0, 1), 1, 10**9, 10**9)
+    assert (len(paths), len(pairs)) == (mu + 1, (mu + 1) * mu // 2)
+
+
+def test_path_search_lists_no_path_inside_the_search(monkeypatch):
+    # a built child's sizes come from the crossing count on its parent, so
+    # admit never lists a child's paths; measure still does, on the empty
+    # graph
+    calls = Counter()
+    admitting = []
+    real_admit = search_module._PathTarget.admit
+
+    def admit(self, *args):
+        admitting.append(True)
+        try:
+            return real_admit(self, *args)
+        finally:
+            admitting.pop()
+
+    def spy(*args):
+        calls["admit" if admitting else "elsewhere"] += 1
+        return path_units(*args)
+
+    monkeypatch.setattr(search_module._PathTarget, "admit", admit)
+    monkeypatch.setattr(search_module, "path_units", spy)
+    roots = minimal_path_roots(families.cycle(4), 3)
+    assert len(roots) == 4
+    assert calls["admit"] == 0 and calls["elsewhere"] >= 1
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
