@@ -13,6 +13,12 @@ The path roots of K2 are the 2-bond and P_2 at ell = 1 and P_(ell + 1)
 for ell >= 2: two ell-paths that form an (ell + 1)-cycle need ell + 1 >= 3
 of them, so only an (ell + 1)-path can join two.
 
+The 2-roots of n isolated vertices, nK1, for n = 6, 10, 15 and 20 (and 30
+and 50 with --slow) are checked against their closed form too: a minimal
+2-root of nK1 has n 2-links and no 3-link, a connected graph with no
+3-link is a star, and K_{1,s} has C(s, 2) 2-links, so the roots are the
+disjoint unions of stars K_{1,s_i} (s_i >= 2) whose C(s_i, 2) add up to n.
+
 Usage:
     python3 scripts/root_tables.py [--slow]
 
@@ -27,6 +33,7 @@ sys.path.insert(0, "src")
 
 from linkgraph import families
 from linkgraph.canon import canonical_form
+from linkgraph.multigraph import Multigraph
 from linkgraph.search import (
     cycle_roots,
     minimal_link_roots,
@@ -45,6 +52,29 @@ def k2_path_roots(ell):
     """Certificates of the closed-form minimal ell-path roots of K2."""
     graphs = [families.path(ell + 1)] + ([families.cycle(2)] if ell == 1 else [])
     return {canonical_form(g).data for g in graphs}
+
+
+def star_union_roots(n):
+    """Certificates of the closed-form minimal 2-roots of n isolated
+    vertices: the disjoint unions of stars K_{1,s_i}, s_i >= 2, whose
+    C(s_i, 2) add up to n."""
+
+    def splits(rest, most):
+        # each non-increasing tuple of star sizes s <= most for rest 2-links
+        if rest == 0:
+            yield ()
+        for s in range(2, most + 1):
+            if s * (s - 1) // 2 <= rest:
+                for tail in splits(rest - s * (s - 1) // 2, s):
+                    yield (s,) + tail
+
+    certificates = set()
+    for sizes in splits(n, n + 1):
+        g = Multigraph(0)
+        for s in sizes:
+            g = g.disjoint_union(families.star(s))
+        certificates.add(canonical_form(g).data)
+    return certificates
 
 
 def show(label, root_set, reference=None) -> bool:
@@ -68,7 +98,8 @@ def main():
     parser.add_argument("--slow", action="store_true",
                         help="include R_3(C6), R_3(C7), R_4(C12), R_4(C16), "
                              "R_5(C12), R_5(C8), R_6(C8), R_7(2K1), R_9(2K1), "
-                             "Q_5(K2) and the exhaustive Q_3(C4) run")
+                             "R_2(30K1), R_2(50K1), Q_5(K2) and the exhaustive "
+                             "Q_3(C4) run")
     args = parser.parse_args()
 
     agree = True
@@ -93,6 +124,13 @@ def main():
             f"Q_{ell}(K2)",
             minimal_path_roots(families.path(1), ell),
             k2_path_roots(ell),
+        )
+
+    for n in (6, 10, 15, 20) + ((30, 50) if args.slow else ()):
+        agree &= show(
+            f"R_2({n}K1)",
+            minimal_link_roots(families.empty_graph(n), 2),
+            star_union_roots(n),
         )
 
     if args.slow:

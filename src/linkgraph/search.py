@@ -57,14 +57,14 @@ grouped into isomorphism classes, each distinct sub-multiset of classes
 (a block) is searched once for its connected roots, all blocks one edge
 level at a time together, and the roots of H are the disjoint unions of
 block roots over the multiset partitions of the classes.  Each union is
-checked as a root of H like any other root, and a union that fails is a
-program fault.  The unions with m edges are checked as soon as every
-block has grown level m, since their parts have at most m edges each, so a
-stop on level L (the time budget or the state cap), among the block states
-or the unions, has already accepted every root of H with fewer than L
-edges.  The cap counts the explored states and the steps of the union
-phase together: each block built, each block the partition enumeration
-tries and each tuple of block roots it combines.  Every connected class
+built once, when the last of its parts is accepted, and checked as a root
+of H like any other root; a union that fails is a program fault.  The
+parts of a union with m edges have at most m edges each, so a stop on
+level L (the time budget or the state cap), among the block states or the
+unions, has already accepted every root of H with fewer than L edges.
+The cap counts the explored states and the steps of the union phase
+together: each block built and each block root the walk over a new
+root's completions tries.  Every connected class
 inside the bounds keeps a connected parent inside them: delete a
 non-bridge edge if there is one, else a pendant edge and its leaf.
 
@@ -189,8 +189,10 @@ class SearchStats:
     deletion, skipped before labelling.  Every other candidate is labelled
     once.
     ``explored`` counts the states taken from a level and ``union_steps``
-    the steps of a disconnected target's union phase; a stop comes before
-    the step it refuses, so a cap stop leaves their sum at the cap.
+    the steps of a disconnected target's union phase: one per block built
+    and one per block root tried when a new root is combined with those
+    accepted before it.  A stop comes before the step it refuses, so a cap
+    stop leaves their sum at the cap.
     """
 
     def __init__(self, accepted: int = 0):
@@ -650,8 +652,8 @@ def _may_delete_last(g: Multigraph, values) -> bool:
 
 def _orderly_search(targets, stats, reached, unions=None):
     """Grow the connected candidates of every target, one edge level at a
-    time for all of them together; with ``unions``, check the unions of
-    their roots with m edges once level m is grown, up to ``unions.max_m``.
+    time for all of them together; with ``unions``, hand it each root as
+    it is accepted, to build the unions it completes.
 
     Returns one dict per target (certificate -> accepted record) and the
     level a stop interrupted, or None when every search finished.  The
@@ -667,7 +669,7 @@ def _orderly_search(targets, stats, reached, unions=None):
         sizes, values = target.measure(empty)
         level[t, cert.data] = [empty, cert, sizes, 0, [], values]
     m = 0
-    while level or (unions is not None and m <= unions.max_m):
+    while level:
         following = {}
         for index, ((t, key), (g, cert, sizes, _, generators, values)) in enumerate(
             level.items()
@@ -679,6 +681,8 @@ def _orderly_search(targets, stats, reached, unions=None):
             record = target.try_accept(g, cert, sizes)
             if record is not None:
                 accepted[t][key] = record
+                if unions is not None and not unions.add(t, record):
+                    return accepted, m
             if g.m >= target.bounds.max_m:
                 continue
             proposals = _proposals(g, target)
@@ -711,8 +715,6 @@ def _orderly_search(targets, stats, reached, unions=None):
                 else:
                     stats.parent_rejected += 1
                     entry[3] = index
-        if unions is not None and not unions.check(m, accepted):
-            return accepted, m
         level = following
         m += 1
     return accepted, None
@@ -721,18 +723,19 @@ def _orderly_search(targets, stats, reached, unions=None):
 class _Unions:
     """The disjoint unions of block roots over every multiset partition of
     the target's component classes, each accepted as a root of the whole
-    target.  ``roots`` maps certificates to the records accepted so far.
-    Every step of this phase follows the ``reached()`` test and counts in
-    ``stats.union_steps``, so the cap and the deadline bound it however
-    many components the target has."""
+    target.  ``found`` lists (block class counts, record) in the order the
+    block roots are accepted, and ``roots`` maps certificates to the unions
+    accepted so far.  Each union is built once, when its last part in that
+    order is accepted.  Every step of this phase follows the ``reached()``
+    test and counts in ``stats.union_steps``, so the cap and the deadline
+    bound it however many components the target has."""
 
     def __init__(self, whole, stats, reached):
         self.whole = whole
-        # a union has at most ell * n(H) edges, the sum of its blocks' bounds
-        self.max_m = whole.bounds.max_m
         self.stats = stats
         self.reached = reached
         self.stopped = False
+        self.found = []
         self.roots = {}
 
     def _step(self) -> bool:
@@ -770,43 +773,37 @@ class _Unions:
             )
         return targets
 
-    def _partitions(self, total, live, start=0):
-        """Each multiset of the blocks ``live[start:]`` (index tuples in
-        the order of ``live``) whose class counts add up to ``total``; it
-        ends early when the search must stop."""
-        if not any(total):
+    def _completions(self, rest, last):
+        """Each multiset of ``found[:last + 1]`` (index tuples, indices
+        non-increasing) whose class counts add up to ``rest``; it ends
+        early when the search must stop."""
+        if not any(rest):
             yield ()
             return
-        for i in range(start, len(live)):
+        for i in range(last, -1, -1):
             if self._step():
                 return
-            rest = tuple(t - k for t, k in zip(total, self.blocks[live[i]]))
-            if min(rest) >= 0:
-                for tail in self._partitions(rest, live, i):
-                    yield (live[i],) + tail
+            left = tuple(r - k for r, k in zip(rest, self.found[i][0]))
+            if min(left) >= 0:
+                for tail in self._completions(left, i):
+                    yield (i,) + tail
 
-    def check(self, m, accepted) -> bool:
-        """Accept the unions with m edges; False if the search must stop
-        first.  Every block root with at most m edges must be accepted.
-        Only the partitions into blocks that have roots so far are tried."""
-        live = [b for b in range(len(self.blocks)) if accepted[b]]
-        for partition in self._partitions(self.total, live):
-            for parts in itertools.product(*(accepted[b].values() for b in partition)):
-                if self._step():
-                    return False
-                if sum(record.graph.m for record in parts) != m:
-                    continue
-                g = parts[0].graph
-                for record in parts[1:]:
-                    g = g.disjoint_union(record.graph)
-                cert = canonical_form(g)
-                if cert.data in self.roots:
-                    continue
-                measured = self.whole.measure(g)
-                sizes = measured and measured[0]
-                record = self.whole.try_accept(g, cert, sizes)
-                _check(record is not None, "a union of block roots is not a root")
-                self.roots[cert.data] = record
+    def add(self, block, record) -> bool:
+        """Accept every union whose last part is ``record``, a new root of
+        block ``block``; False if the search must stop first."""
+        counts = self.blocks[block]
+        self.found.append((counts, record))
+        rest = tuple(t - k for t, k in zip(self.total, counts))
+        for tail in self._completions(rest, len(self.found) - 1):
+            g = record.graph
+            for i in tail:
+                g = g.disjoint_union(self.found[i][1].graph)
+            cert = canonical_form(g)
+            measured = self.whole.measure(g)
+            sizes = measured and measured[0]
+            union = self.whole.try_accept(g, cert, sizes)
+            _check(union is not None, "a union of block roots is not a root")
+            self.roots[cert.data] = union
         return not self.stopped
 
 

@@ -293,13 +293,25 @@ def test_roots_state_cap_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_many_components_stop_at_the_default_cap(tmp_path, capsys):
-    # 50K1 has 50 blocks and p(50) multiset partitions of its components;
+def test_many_components_are_answered_at_the_default_cap(tmp_path, capsys):
+    # each union of block roots is built once, when its last part is
+    # accepted: 50K1 has 50 blocks and 417 minimal 2-roots, the disjoint
+    # unions of stars whose 2-link counts add up to 50
+    path = write_graph(tmp_path, "50k1.mg", families.empty_graph(50))
+    outdir = tmp_path / "x"
+    assert main(["roots", "-l", "2", path, "--outdir", str(outdir)]) == 0
+    assert capsys.readouterr().out.startswith("417 minimal roots\n")
+    assert (outdir / "roots.tsv").exists()
+
+
+def test_many_components_stop_at_a_small_cap(tmp_path, capsys):
     # the union phase counts its steps against the cap too
     path = write_graph(tmp_path, "50k1.mg", families.empty_graph(50))
     outdir = tmp_path / "x"
-    assert main(["roots", "-l", "2", path, "--outdir", str(outdir)]) == 3
+    argv = ["roots", "-l", "2", path, "--outdir", str(outdir), "--max-states", "300"]
+    assert main(argv) == 3
     assert (outdir / "roots.partial.tsv").exists()
+    assert not (outdir / "roots.tsv").exists()
     capsys.readouterr()
 
 

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from linkgraph import families
+from linkgraph.search import minimal_link_roots
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -20,6 +23,15 @@ def test_root_tables_agree_with_closed_forms():
     proc = run_script("scripts/root_tables.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "closed form agrees: False" not in proc.stdout
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_two_roots_of_isolated_vertices_match_the_star_unions(n):
+    # R_2(nK1) at the default cap against the closed form root_tables.py
+    # checks: 25 roots for n = 20, 81 for n = 30
+    closed_form = load_script("root_tables").star_union_roots(n)
+    assert minimal_link_roots(families.empty_graph(n), 2).canonical_set() == closed_form
+    assert len(closed_form) == {20: 25, 30: 81}[n]
 
 
 @pytest.mark.parametrize(

@@ -192,8 +192,8 @@ def test_budget_lists_every_root_below_its_level(monkeypatch):
     # a clock that ticks once per call stops the search at a chosen state;
     # the level it stops on bounds the roots the partial answer must hold
     full = minimal_link_roots(families.empty_graph(2), 6)
-    levels, explored = [], []
-    for budget in (50, 128):
+    levels, stops = [], []
+    for budget in (21, 22, 50, 90):
         ticks = itertools.count()
         monkeypatch.setattr(search_module, "time",
                             SimpleNamespace(monotonic=lambda: float(next(ticks))))
@@ -206,12 +206,24 @@ def test_budget_lists_every_root_below_its_level(monkeypatch):
             f"every root with fewer than {level} edges is listed")
         below = {r.canonical.data for r in full if r.graph.m < level}
         partial = err.value.partial.canonical_set()
-        assert below and below <= partial <= full.canonical_set()
+        assert below <= partial <= full.canonical_set()
         levels.append(level)
-        explored.append(err.value.stats.explored)
-    assert levels == [8, 12]  # R_6(2K1) has roots with 7, 8 and 12 edges
-    # the second stop comes after the last block state, among the unions
-    assert explored[1] == full.stats.explored
+        stops.append((err.value.stats.union_steps, len(partial)))
+    assert levels == [6, 6, 8, 12]  # R_6(2K1) has roots with 7, 8 and 12 edges
+    # the first stop refuses the union step that builds P_6 + P_6 once the
+    # block K1 accepts P_6 on level 6, after the two blocks were built; one
+    # tick more takes it, and the union, with 12 edges, is listed at once
+    assert stops == [(2, 0), (3, 1), (3, 3), (3, 3)]
+
+
+def union_stops(stops, full):
+    """The partial root counts of the stops among the unions, given the
+    (union steps, explored, partial roots) of each stop in turn, one state
+    apart: a stop there refuses a union step after the block searches have
+    begun, which the next run takes."""
+    stops = stops + [(full.stats.union_steps, full.stats.explored, len(full))]
+    return [roots for (steps, explored, roots), (next_steps, _, _)
+            in zip(stops, stops[1:]) if explored and next_steps > steps]
 
 
 @pytest.mark.parametrize("search, h, ell", [
@@ -222,7 +234,7 @@ def test_every_budget_stop_lists_the_roots_below_its_level(monkeypatch, search, 
     # stop at every tick of a clock that ticks once per call, through the
     # block states and the unions, until the search finishes
     full = search(h, ell)
-    among_unions = []
+    stops = []
     for budget in itertools.count(1):
         ticks = itertools.count()
         monkeypatch.setattr(search_module, "time",
@@ -233,12 +245,12 @@ def test_every_budget_stop_lists_the_roots_below_its_level(monkeypatch, search, 
             level = int(re.search(r"at (\d+) edges", str(err)).group(1))
             below = {r.canonical.data for r in full if r.graph.m < level}
             assert below <= err.partial.canonical_set() <= full.canonical_set()
-            if err.stats.explored == full.stats.explored:
-                among_unions.append(len(err.partial))
+            stops.append((err.stats.union_steps, err.stats.explored, len(err.partial)))
         else:
             break
-    # some stops come after the last block state, among the unions, and
-    # the first of them before every union is accepted
+    # some stops fall among the unions, and the first of them before every
+    # union is accepted
+    among_unions = union_stops(stops, full)
     assert among_unions and among_unions[0] < len(full)
 
 
@@ -252,24 +264,25 @@ def test_every_state_cap_lists_the_roots_below_its_level(search, h, ell):
     # full count stops, among the block states or among the unions
     full = search(h, ell)
     count = full.stats.explored + full.stats.union_steps
-    among_unions = 0
+    stops = []
     for cap in range(1, count):
-        stops = []
+        runs = []
         for _ in range(2):
             with pytest.raises(BudgetExceeded) as err:
                 search(h, ell, SearchOptions(max_states=cap))
-            stops.append((str(err.value), err.value.partial.canonical_set()))
+            runs.append((str(err.value), err.value.partial.canonical_set()))
             stats = err.value.stats
             assert stats.explored + stats.union_steps == cap
-        assert stops[0] == stops[1]
-        message, partial = stops[0]
+        assert runs[0] == runs[1]
+        message, partial = runs[0]
         level = int(re.fullmatch(
             rf"search cap of {cap} states reached at (\d+) edges; "
             r"every root with fewer than \1 edges is listed", message).group(1))
         below = {r.canonical.data for r in full if r.graph.m < level}
         assert below <= partial <= full.canonical_set()
-        among_unions += stats.explored == full.stats.explored
-    assert among_unions > 0
+        stops.append((stats.union_steps, stats.explored, len(partial)))
+    among_unions = union_stops(stops, full)
+    assert among_unions and among_unions[0] < len(full)
     capped = search(h, ell, SearchOptions(max_states=count))
     assert capped.canonical_set() == full.canonical_set()
 
@@ -952,6 +965,34 @@ def test_rejected_union_of_block_roots_raises(monkeypatch):
                         lambda self, g: g.is_connected() and complete(self, g))
     with pytest.raises(search_module.InternalCheckError):
         minimal_link_roots(families.empty_graph(2), 3)
+
+
+@pytest.mark.parametrize("search, h, ell, union_steps", [
+    (minimal_link_roots, families.empty_graph(6), 2, 15),
+    (minimal_path_roots, families.empty_graph(3), 3, 19),
+    (minimal_link_roots, families.empty_graph(2), 4, 3),
+])
+def test_each_union_is_built_once(monkeypatch, search, h, ell, union_steps):
+    # a union is built when its last part is accepted, so the whole target
+    # checks each root exactly once and nothing else; the steps are one per
+    # block built and one per block root a new root's completions try
+    tried = []
+    init = search_module._Unions.__init__
+
+    def spying_init(self, whole, stats, reached):
+        init(self, whole, stats, reached)
+        try_accept = whole.try_accept
+
+        def spy(g, cert, sizes):
+            tried.append(cert.data)
+            return try_accept(g, cert, sizes)
+
+        whole.try_accept = spy
+
+    monkeypatch.setattr(search_module._Unions, "__init__", spying_init)
+    found = search(h, ell)
+    assert sorted(tried) == sorted(found.canonical_set())
+    assert found.stats.union_steps == union_steps
 
 
 def test_forests_only_combines_forest_roots():
