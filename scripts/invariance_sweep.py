@@ -17,8 +17,9 @@ import argparse
 import heapq
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from linkgraph.construct import partitioned_link_graph, project_link
 from linkgraph.families import random_multigraph

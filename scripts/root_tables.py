@@ -28,8 +28,9 @@ Exits 1 when a search disagrees with its closed form.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from linkgraph import families
 from linkgraph.canon import canonical_form

@@ -148,24 +148,26 @@ def partitioned_link_graph(
     return result, link_partitions(result)
 
 
-def path_units(g: Multigraph, ell: int, path_cap: int, pair_cap: int):
-    """The ell-paths of g and the edges of its ell-path graph, in one walk.
+def path_graph(
+    g: Multigraph, ell: int, max_links: int = DEFAULT_MAX_LINKS
+) -> LinkGraphResult:
+    """The ell-path graph of g (simple), with provenance maps.
 
     Each ell-path, stepped once more from either end, gives an
     (ell + 1)-path or closes an (ell + 1)-cycle at its first vertex; that
-    walk joins the path to its other end ell-subsequence.  Returns
-    (paths, pairs) with the paths as canonical sequences in walk order and
-    the edges as sorted pairs of them.  Raises LinkCountExceeded, naming
-    the cap, as soon as the paths pass ``path_cap`` or the pairs pass
-    ``pair_cap``.
+    walk joins the path to its other end ell-subsequence.  Raises
+    LinkCountExceeded, naming the unit, as soon as the ell-paths or the
+    path-graph edges pass ``max_links``.
     """
-    paths = []
-    pairs = set()
+    if ell < 0:
+        raise MultigraphError("ell must be non-negative")
+    seqs = []
+    pairs = set()  # sorted pairs of canonical ell-paths
     adj = g.adjacency
     for seq in iter_links(g, ell, distinct=True):
-        paths.append(seq)
-        if len(paths) > path_cap:
-            raise LinkCountExceeded(None, path_cap, f"{ell}-paths")
+        seqs.append(seq)
+        if len(seqs) > max_links:
+            raise LinkCountExceeded(None, max_links, f"{ell}-paths")
         for walk in (seq, seq[::-1]) if ell else (seq,):
             last_e = walk[-2] if ell else -1
             inner = walk[2::2]  # every vertex but the first
@@ -174,22 +176,8 @@ def path_units(g: Multigraph, ell: int, path_cap: int, pair_cap: int):
                     continue
                 tail = _canonical((walk + (e, w))[2:])
                 pairs.add((seq, tail) if seq <= tail else (tail, seq))
-        if len(pairs) > pair_cap:
-            raise LinkCountExceeded(None, pair_cap, "path-graph edges")
-    return paths, pairs
-
-
-def path_graph(
-    g: Multigraph, ell: int, max_links: int = DEFAULT_MAX_LINKS
-) -> LinkGraphResult:
-    """The ell-path graph of g (simple), with provenance maps.
-
-    Paths and edges come from ``path_units``; ``max_links`` caps both the
-    ell-paths and the path-graph edges.
-    """
-    if ell < 0:
-        raise MultigraphError("ell must be non-negative")
-    seqs, pairs = path_units(g, ell, max_links, max_links)
+        if len(pairs) > max_links:
+            raise LinkCountExceeded(None, max_links, "path-graph edges")
     paths = tuple(map(Link._of_canonical, sorted(seqs)))
     index = {p.seq: i for i, p in enumerate(paths)}
     # paths are numbered in sorted order and each pair is sorted, so i < j

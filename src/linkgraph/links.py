@@ -6,7 +6,7 @@ its reverse and is represented by the lexicographically smaller of the two
 tuples.  ``iter_links`` enumerates the ell-links: under its step rules it
 yields the links, the paths (no repeated vertex) and the links of a
 partitioned graph (consecutive edges in different parts).
-``construct.link_graph`` and ``construct.path_units`` grow the
+``construct.link_graph`` and ``construct.path_graph`` grow the
 (ell + 1)-links and (ell + 1)-paths from its ell-units by one more step
 under the same rules.
 ``count_arcs_by_length`` counts directed walks of every length without

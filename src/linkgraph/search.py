@@ -1,20 +1,21 @@
 """Exhaustive enumeration of minimal link roots and path roots.
 
 Candidates are grown level by level: level m maps the certificate of each
-isomorphism class of loopless multigraphs (without isolated vertices) with
-m edges inside the bounds to one graph of the class, and level m + 1 holds
-the children of level m.  Monotone prunes keep the tree small: walk counts
-never decrease when an edge is added, degrees and multiplicities only grow,
-and cycles never disappear.  So deleting an edge of a class inside the
-bounds (and the vertices it leaves isolated) gives a class inside the
-bounds one level down, whose expansion gives the class back; by induction
-on the level every class is reached, and a search stopped on level L has
-tried every class with fewer than L edges.  Pairs in one orbit of the
-parent's automorphism group give isomorphic children, so only the first
-proposal of each orbit is tried (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998); the first proposal giving a child class
-is always tried, so the same children are reached as without the orbits,
-and a generating set that missed part of the group would only cost time.
+isomorphism class of connected loopless multigraphs with m edges inside
+the bounds to one graph of the class.  Level 0 holds K1, the one such
+class with no edge, and level m + 1 holds the children of level m.
+Monotone prunes keep the tree small: walk counts never decrease when an
+edge is added, degrees and multiplicities only grow, and cycles never
+disappear.  So a legal deletion (below) of a class inside the bounds
+gives a class inside the bounds one level down, whose expansion gives the
+class back; K2's is K1.  By induction on the level every class is
+reached, and a search stopped on level L has tried every class with fewer
+than L edges.  Pairs in one orbit of the parent's automorphism group give
+isomorphic children, so only the first proposal of each orbit is tried
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998); the
+first proposal giving a child class is always tried, so the same children
+are reached as without the orbits, and a generating set that missed part
+of the group would only cost time.
 Most children over the target's sizes are skipped before they are built,
 and counted as pruned like those measured.  In link mode the parent's walk
 counts bound the child's from below; a proposal that passes the orbit test
@@ -33,7 +34,7 @@ non-bridge edge, or a pendant edge together with its leaf: deleting it
 leaves a connected class inside the bounds, which the search explores.
 Each edge gets an isomorphism-invariant value: the sorted pair of its end
 vertices' values (in link mode the column of walk counts W_0..W_ell that
-``measure`` computes, in path mode the degree), then its multiplicity.  A
+``admit`` computes, in path mode the degree), then its multiplicity.  A
 child whose new edge, always legal, is beaten by a legal edge of larger
 value is skipped unlabelled.  This loses no class: take a legal edge e of
 C of largest value.  C - e is explored, and the orbit test tries a
@@ -64,9 +65,7 @@ level L (the time budget or the state cap), among the block states or the
 unions, has already accepted every root of H with fewer than L edges.
 The cap counts the explored states and the steps of the union phase
 together: each block built and each block root the walk over a new
-root's completions tries.  Every connected class
-inside the bounds keeps a connected parent inside them: delete a
-non-bridge edge if there is one, else a pendant edge and its leaf.
+root's completions tries.
 
 Non-monotone conditions (cyclic-component count, minimality, the final
 isomorphism) are checked on complete candidates only.
@@ -89,17 +88,12 @@ from .canon import (
     orbit_roots,
     verify_isomorphism,
 )
-from .construct import (
-    link_graph,
-    link_partitions,
-    path_graph,
-    path_units,
-)
+from .construct import link_graph, link_partitions, path_graph
 from .families import cycle as cycle_graph
 from .families import middle_joined_paths, path as path_graph_family
 from .families import subdivided_star, tailed_path
 from .incidence import is_l_minimal
-from .links import LinkCountExceeded, _walk_tables, iter_links
+from .links import _walk_tables, iter_links
 from .multigraph import (
     InternalCheckError,  # raised by the checks below; callers catch it here
     Multigraph,
@@ -292,18 +286,19 @@ def _witness(graph: Multigraph, h: Multigraph, h_form, h_vertex_at):
 class _Target:
     """What both searches share: the target's sizes and the accept path.
 
-    ``measure(g)`` returns the sizes (unit count, adjacency count) of the
-    graph g builds and an isomorphism-invariant value per vertex of g, or
-    None when the sizes exceed the target's; both counts only grow with g,
-    so that prunes every supergraph of g too.  Each mode also supplies
-    ``complete(g)``, its minimality test on a graph of the right sizes,
-    ``build(g)``, the construction, and ``audit``, the bound lemmas every
-    root it returns must satisfy.  ``crossing(g, sizes, values)``, given
-    g's ``measure``, returns a function of a proposal (u, v): None when the
+    A graph's sizes are (unit count, adjacency count) of the graph it
+    builds; both only grow with the graph, so sizes over the target's prune
+    every supergraph too.  Each mode supplies ``complete(g)``, its
+    minimality test on a graph of the right sizes, ``build(g)``, the
+    construction, and ``audit``, the bound lemmas every root it returns
+    must satisfy.  ``crossing(g, sizes, values)``, given g's sizes and
+    vertex values, returns a function of a proposal (u, v): None when the
     child g + uv is over the target's sizes, so it is skipped before it is
     built, else sizes that bound the child's from below: g's own in link
     mode, the child's exactly in path mode.  ``admit(child, sizes, stats)``
-    takes those sizes and runs the remaining tests on the built child.
+    takes those sizes, runs the remaining tests on the built child and
+    returns its sizes and an isomorphism-invariant value per vertex, or
+    None.  The search's seed K1 is admitted with sizes (0, 0).
     """
 
     def __init__(self, h, ell, bounds, options):
@@ -373,17 +368,7 @@ class _LinkTarget(_Target):
         delta_h = h.max_degree()
         self.max_multiplicity = max(1, delta_h // 2 + 1)
 
-    def measure(self, g: Multigraph):
-        arcs, super_arcs, columns = _walk_columns(g, self.ell)
-        links, super_links = arcs // 2, super_arcs // 2
-        required_links, required_super_links = self.required
-        if links > required_links or super_links > required_super_links:
-            return None
-        return (links, super_links), columns
-
     def crossing(self, g: Multigraph, sizes, columns):
-        if g.n == 0:
-            return lambda u, v: sizes  # sizes only grow
         gained = _links_gained(columns, self.ell)
         spare_links = self.required[0] - sizes[0]
         spare_super_links = self.required[1] - sizes[1]
@@ -397,18 +382,20 @@ class _LinkTarget(_Target):
         return child_sizes
 
     def admit(self, child: Multigraph, sizes, stats):
-        """The child's ``measure`` when it is inside the target's sizes and
-        its new edge may be its canonical deletion; otherwise None, with
-        the child counted in ``stats`` as pruned or deletion-skipped.  The
-        deletion test reads the walk columns ``measure`` gives, so it comes
-        second; ``sizes``, the parent's, are not read."""
-        measured = self.measure(child)
-        if measured is None:
+        """The child's sizes and walk columns when it is inside the
+        target's sizes and its new edge may be its canonical deletion;
+        otherwise None, with the child counted in ``stats`` as pruned or
+        deletion-skipped.  The deletion test reads the walk columns, so it
+        comes second; ``sizes``, the parent's, are not read."""
+        arcs, super_arcs, columns = _walk_columns(child, self.ell)
+        links, super_links = arcs // 2, super_arcs // 2
+        if links > self.required[0] or super_links > self.required[1]:
             stats.pruned += 1
-        elif not _may_delete_last(child, measured[1]):
+            return None
+        if not _may_delete_last(child, columns):
             stats.deletion_skipped += 1
             return None
-        return measured
+        return (links, super_links), columns
 
     def complete(self, g: Multigraph) -> bool:
         if component_census(g)[1] > self.bounds.max_cyclic_components:
@@ -506,17 +493,7 @@ class _PathTarget(_Target):
         self.max_degree = 2 * h.n
         self.max_multiplicity = h.n
 
-    def measure(self, g: Multigraph):
-        try:
-            paths, pairs = path_units(g, self.ell, *self.required)
-        except LinkCountExceeded:
-            return None
-        return (len(paths), len(pairs)), g.degrees()
-
     def crossing(self, g: Multigraph, sizes, degrees):
-        if g.n == 0:
-            # the empty graph's one child is K2: one 1-path, no longer path
-            return lambda u, v: (int(self.ell == 1), 0)
         paths, pairs = sizes
         spare = (self.required[0] - paths, self.required[1] - pairs)
 
@@ -560,8 +537,6 @@ def _multiplicities(edges) -> dict:
 def _proposals(g, target) -> list:
     """The pairs (u, v) for which g + uv stays connected and inside the
     target's caps."""
-    if g.n == 0:
-        return [(0, 1)]
     degrees = g.degrees()
     max_deg = target.max_degree
     new_vertex = g.n < target.bounds.max_n
@@ -626,8 +601,11 @@ def _may_delete_last(g: Multigraph, values) -> bool:
     value is the sorted pair of its ends' values, then its multiplicity.
     The last edge must itself be legal.  A parallel or pendant rival is
     legal as it stands; only a rival that is neither needs the bridge pass.
+    An edgeless g, the seed K1, passes.
     """
     edges = g.edges
+    if not edges:
+        return True
     multiplicity = _multiplicities(edges)
     last = edges[-1]
     a, b = values[last[0]], values[last[1]]
@@ -660,14 +638,14 @@ def _orderly_search(targets, stats, reached, unions=None):
     search stops as soon as ``reached()``, the cap or deadline test, holds.
     """
     accepted = [{} for _ in targets]
-    empty = Multigraph(0)
-    cert = canonical_form(empty)
+    seed = Multigraph(1)
+    cert = canonical_form(seed)
     # (target index, certificate) -> [graph, certificate, sizes,
     #     index of the last parent, Aut(graph) generators, vertex values]
     level = {}
     for t, target in enumerate(targets):
-        sizes, values = target.measure(empty)
-        level[t, cert.data] = [empty, cert, sizes, 0, [], values]
+        sizes, values = target.admit(seed, (0, 0), stats)
+        level[t, cert.data] = [seed, cert, sizes, 0, [], values]
     m = 0
     while level:
         following = {}
@@ -799,9 +777,9 @@ class _Unions:
             for i in tail:
                 g = g.disjoint_union(self.found[i][1].graph)
             cert = canonical_form(g)
-            measured = self.whole.measure(g)
-            sizes = measured and measured[0]
-            union = self.whole.try_accept(g, cert, sizes)
+            # the parts' link (path) graphs make up the union's, so it has
+            # the whole target's sizes; try_accept still checks its witness
+            union = self.whole.try_accept(g, cert, self.whole.required)
             _check(union is not None, "a union of block roots is not a root")
             self.roots[cert.data] = union
         return not self.stopped

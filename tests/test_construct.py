@@ -13,7 +13,6 @@ from linkgraph.construct import (
     link_partitions,
     partitioned_link_graph,
     path_graph,
-    path_units,
     project_link,
     provenance_lines,
     shunt_reachable,
@@ -215,27 +214,24 @@ def test_path_graph_matches_brute_force():
 
 
 def _check_path_caps(g, ell, paths, pairs):
-    """Caps just below, at and above the true counts: the walk stops
-    exactly when a count passes its cap, and path_graph raises exactly when
-    max_links is below the larger count."""
+    """Caps just below, at and above each true count: path_graph raises
+    exactly when max_links is below a count, naming one that passed it,
+    and otherwise builds every path and pair."""
     def near(count):
         return [c for c in (count - 1, count, count + 1) if c >= 0]
 
-    for path_cap in near(len(paths)):
-        for pair_cap in near(len(pairs)):
-            if path_cap < len(paths) or pair_cap < len(pairs):
-                with pytest.raises(LinkCountExceeded):
-                    path_units(g, ell, path_cap, pair_cap)
-            else:
-                units = path_units(g, ell, path_cap, pair_cap)
-                assert (set(units[0]), units[1]) == (paths, pairs)
-    largest = max(len(paths), len(pairs))
-    for cap in near(largest):
-        if cap < largest:
-            with pytest.raises(LinkCountExceeded):
+    counts = {f"{ell}-paths": len(paths), "path-graph edges": len(pairs)}
+    for cap in sorted(set(near(len(paths)) + near(len(pairs)))):
+        over = {f"enumeration of more than {cap} {unit} exceeds the cap of {cap}"
+                for unit, count in counts.items() if count > cap}
+        if over:
+            with pytest.raises(LinkCountExceeded) as info:
                 path_graph(g, ell, max_links=cap)
+            assert str(info.value) in over
         else:
-            assert path_graph(g, ell, max_links=cap).graph.m == len(pairs)
+            res = path_graph(g, ell, max_links=cap)
+            assert {p.seq for p in res.vertex_provenance} == paths
+            assert {(a.seq, b.seq) for a, b in res.edge_provenance} == pairs
 
 
 def test_path_graph_parallel_edges_make_two_cycles():

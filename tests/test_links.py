@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkgraph import families
-from linkgraph.construct import ConstructionError, link_graph, path_units
+from linkgraph.construct import ConstructionError, link_graph, path_graph
 from linkgraph.links import (
     Link,
     LinkCountExceeded,
@@ -163,14 +163,22 @@ def test_paths_filter_repeated_vertices():
     assert enumerate_paths(g, 4) == ()
 
 
-def test_path_units_early_stop():
-    g = families.complete(5)
-    with pytest.raises(LinkCountExceeded) as info:  # K5 has 30 2-paths
-        path_units(g, 2, 3, 10**6)
+def test_path_graph_cap_stops_early():
+    # the walk stops as soon as either count passes the one cap, and the
+    # error names the count that passed it
+    star = families.star(5)  # ten 2-paths, no 3-path
+    with pytest.raises(LinkCountExceeded) as info:
+        path_graph(star, 2, max_links=3)
     assert str(info.value) == "enumeration of more than 3 2-paths exceeds the cap of 3"
-    assert len(path_units(g, 2, 30, 10**6)[0]) == 30
-    paths, pairs = path_units(families.path(4), 4, 1, 0)
-    assert len(paths) == 1 and pairs == set()
+    assert path_graph(star, 2, max_links=10).graph.n == 10
+    k5 = families.complete(5)  # 30 2-paths, 60 3-paths and 10 triangles
+    with pytest.raises(LinkCountExceeded) as info:
+        path_graph(k5, 2, max_links=89)
+    assert str(info.value) == (
+        "enumeration of more than 89 path-graph edges exceeds the cap of 89")
+    assert path_graph(k5, 2, max_links=90).graph.m == 90
+    single = path_graph(families.path(4), 4, max_links=1).graph
+    assert (single.n, single.m) == (1, 0)
 
 
 def test_link_girth_path_infinite():

@@ -19,8 +19,18 @@ def run_script(*args):
     )
 
 
-def test_root_tables_agree_with_closed_forms():
-    proc = run_script("scripts/root_tables.py")
+def run_script_elsewhere(cwd, name, *args, flags=()):
+    """Run scripts/NAME from ``cwd`` with no PYTHONPATH, so the script
+    must find the library itself."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, *flags, os.path.join(REPO, "scripts", name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_root_tables_agree_with_closed_forms(tmp_path):
+    proc = run_script_elsewhere(tmp_path, "root_tables.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "closed form agrees: False" not in proc.stdout
 
@@ -183,8 +193,9 @@ def test_benchmark_oracle_catches_wrong_results():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_invariance_sweep_holds_under_optimize():
-    proc = run_script("-O", "scripts/invariance_sweep.py", "--count", "20")
+def test_invariance_sweep_holds_under_optimize(tmp_path):
+    proc = run_script_elsewhere(tmp_path, "invariance_sweep.py", "--count", "20",
+                                flags=["-O"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("20 graphs: ")
     assert proc.stdout.rstrip().endswith("all held")
@@ -193,7 +204,6 @@ def test_invariance_sweep_holds_under_optimize():
 def test_invariance_sweep_exits_1_on_a_broken_invariant(monkeypatch, capsys):
     # the sweep checks without assert statements, so a failure is an exit
     # code and a printed graph whatever the interpreter's -O setting
-    monkeypatch.chdir(REPO)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds src
     sweep = load_script("invariance_sweep")
     census = sweep.count_cyclic_components

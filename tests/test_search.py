@@ -13,9 +13,9 @@ import pytest
 
 from linkgraph import families
 from linkgraph.canon import canonical_form, is_isomorphic
-from linkgraph.construct import link_graph, path_graph, path_units
+from linkgraph.construct import link_graph, path_graph
 from linkgraph.incidence import is_l_minimal
-from linkgraph.links import count_links, iter_links
+from linkgraph.links import count_arcs_by_length, count_links, iter_links
 from linkgraph.multigraph import Multigraph
 from linkgraph import search as search_module
 from linkgraph.search import (
@@ -339,8 +339,6 @@ def test_path_roots_at_zero():
 
 
 def test_pruned_matches_naive_on_tiny_targets():
-    from linkgraph.links import count_arcs_by_length
-
     targets = [
         (Multigraph(1), 2),
         (families.path(1), 2),
@@ -368,14 +366,28 @@ def test_pruned_matches_naive_on_tiny_targets():
 
 
 def test_path_search_matches_naive_on_tiny_targets():
-    # the path graph and minimality straight from the brute-force paths,
-    # with none of the search's prunes
-    for h, ell in (
-        (families.path(1), 2),
-        (families.path(2), 2),
-        (families.empty_graph(2), 1),
-        (families.empty_graph(2), 2),
-    ):
+    # criterion 11's targets (ell * n(H) <= 6) less those with parallel
+    # edges, which no path graph has; the path graph and minimality of
+    # every graph inside the bounds come straight from the brute-force
+    # paths, with none of the search's prunes
+    zoo = [
+        (Multigraph(1), (1, 2, 3, 4, 5, 6)),
+        (families.path(1), (1, 2, 3)),
+        (families.empty_graph(2), (1, 2, 3)),
+        (families.cycle(3), (1, 2)),
+        (families.path(2), (1, 2)),
+        (families.empty_graph(3), (1, 2)),
+        (Multigraph(3, [(0, 1)]), (1, 2)),
+        (families.cycle(4), (1,)),
+        (families.star(3), (1,)),
+        (families.path(3), (1,)),
+        (families.empty_graph(4), (1,)),
+        (families.cycle(5), (1,)),
+        (families.cycle(6), (1,)),
+        (families.path(5), (1,)),
+    ]
+    with_roots = 0
+    for h, ell in [(h, ell) for h, ells in zoo for ell in ells]:
         bounds = compute_bounds(h, ell)
         h_cert = canonical_form(h)
         naive = set()
@@ -396,6 +408,26 @@ def test_path_search_matches_naive_on_tiny_targets():
                 continue
             naive.add(canonical_form(g).data)
         assert minimal_path_roots(h, ell).canonical_set() == naive, (h, ell)
+        with_roots += bool(naive)
+    assert with_roots == 26
+
+
+def test_forest_roots_agree_across_modes():
+    # in a forest every ell-link is an ell-path, so the forest roots of
+    # R_ell(H) and Q_ell(H) are one set, which the two modes reach through
+    # different counts: walk columns in link mode, the paths through each
+    # new edge in path mode
+    simple = [g for g in exhaustive_multigraphs(5, 6)
+              if g.n and not g.has_parallel_edges()]
+    targets = simple + [g.disjoint_union(Multigraph(1)) for g in simple if g.n <= 4]
+    forests = SearchOptions(forests_only=True)
+    with_roots = 0
+    for h in targets:
+        for ell in (1, 2, 3, 4):
+            links = minimal_link_roots(h, ell, forests).canonical_set()
+            assert links == minimal_path_roots(h, ell, forests).canonical_set(), (h, ell)
+            with_roots += bool(links)
+    assert (len(targets), with_roots) == (35, 66)
 
 
 def test_exhaustive_multigraph_level_counts():
@@ -749,8 +781,8 @@ def test_links_gained_misses_a_pendant_crossed_twice():
 def test_paths_through_counts_the_child(ell):
     # the paths of g + uv through uv are exactly its new ell-paths, and the
     # (ell + 1)-paths and cycles through uv give exactly its new path-graph
-    # edges; so a child over either spare count is one that measure prunes,
-    # and any other child has the sizes measure gives
+    # edges, by the brute-force counts; so the crossing prunes exactly the
+    # children over the target's sizes and gives any other child its sizes
     corpus = random_graph_corpus(seed=ell, count=40, max_n=6, max_m=7)
     assert any(g.has_parallel_edges() for g in corpus)
     through = search_module._paths_through
@@ -758,33 +790,30 @@ def test_paths_through_counts_the_child(ell):
     target = search_module._PathTarget(
         families.path(1), ell, compute_bounds(families.path(1), ell), SearchOptions())
 
-    def path_count(graph, k):
-        return sum(1 for _ in iter_links(graph, k, distinct=True))
+    def sizes_of(graph):
+        return (len(brute_force_paths(graph, ell)),
+                len(brute_force_path_pairs(graph, ell)))
 
     outcomes = Counter()
     for g in corpus:
-        paths, pairs = map(len, path_units(g, ell, *unbounded))
-        count = path_count(g, ell)
+        paths, pairs = sizes_of(g)
         crossings = []
         for spare in (0, 1, 3):
             target.required = (paths + spare, pairs + 2 * spare)
             crossings.append(target.crossing(g, (paths, pairs), g.degrees()))
         for u in range(g.n):
             for v in range(u + 1, g.n + 1):
-                child = g.add_edge(u, v)
+                child_sizes = sizes_of(g.add_edge(u, v))
                 found = through(g, ell, u, v, unbounded)
-                child_pairs = len(path_units(child, ell, *unbounded)[1])
-                assert found == (path_count(child, ell) - count,
-                                 child_pairs - pairs), (g, u, v)
+                assert found == (child_sizes[0] - paths,
+                                 child_sizes[1] - pairs), (g, u, v)
                 for spare, crossing in zip((0, 1, 3), crossings):
-                    target.required = (paths + spare, pairs + 2 * spare)
+                    required = (paths + spare, pairs + 2 * spare)
+                    over = (child_sizes[0] > required[0]
+                            or child_sizes[1] > required[1])
                     sizes = crossing(u, v)
-                    measured = target.measure(child)
                     outcomes[sizes is None] += 1
-                    if sizes is None:
-                        assert measured is None, (g, u, v, spare)
-                    else:
-                        assert sizes == measured[0], (g, u, v, spare)
+                    assert sizes == (None if over else child_sizes), (g, u, v, spare)
                 for cap in range(found[0]):
                     assert through(g, ell, u, v, (cap, 10**9))[0] == cap + 1
                 for cap in range(found[1]):
@@ -802,8 +831,8 @@ def test_paths_through_counts_the_closed_cycle(ell):
     new_pairs = ell + 1 if ell > 1 else 1
     assert search_module._paths_through(g, ell, 0, ell, (10**9, 10**9)) == (
         ell, new_pairs)
-    paths, pairs = path_units(child, ell, 10**9, 10**9)
-    assert (len(paths), len(pairs)) == (ell + 1, new_pairs)
+    built = path_graph(child, ell).graph
+    assert (built.n, built.m) == (ell + 1, new_pairs)
 
 
 @pytest.mark.parametrize("mu", [1, 2, 5])
@@ -812,34 +841,38 @@ def test_paths_through_counts_a_bundle(mu):
     # each of the mu copies: one path-graph edge per parallel edge
     g = bond(mu)
     assert search_module._paths_through(g, 1, 0, 1, (10**9, 10**9)) == (1, mu)
-    paths, pairs = path_units(g.add_edge(0, 1), 1, 10**9, 10**9)
-    assert (len(paths), len(pairs)) == (mu + 1, (mu + 1) * mu // 2)
+    built = path_graph(g.add_edge(0, 1), 1).graph
+    assert (built.n, built.m) == (mu + 1, (mu + 1) * mu // 2)
 
 
 def test_path_search_lists_no_path_inside_the_search(monkeypatch):
-    # a built child's sizes come from the crossing count on its parent, so
-    # admit never lists a child's paths; measure still does, on the empty
-    # graph
+    # a child's sizes come from the crossing count on its parent, K1's are
+    # known and a union of block roots has the whole target's, so paths
+    # are listed only by the final check of a candidate of the right sizes
     calls = Counter()
-    admitting = []
-    real_admit = search_module._PathTarget.admit
+    accepting = []
+    real_try_accept = search_module._PathTarget.try_accept
 
-    def admit(self, *args):
-        admitting.append(True)
+    def try_accept(self, *args):
+        accepting.append(True)
         try:
-            return real_admit(self, *args)
+            return real_try_accept(self, *args)
         finally:
-            admitting.pop()
+            accepting.pop()
 
-    def spy(*args):
-        calls["admit" if admitting else "elsewhere"] += 1
-        return path_units(*args)
+    def spying(function):
+        def spy(*args, **kwargs):
+            calls[function.__name__, bool(accepting)] += 1
+            return function(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(search_module._PathTarget, "admit", admit)
-    monkeypatch.setattr(search_module, "path_units", spy)
-    roots = minimal_path_roots(families.cycle(4), 3)
-    assert len(roots) == 4
-    assert calls["admit"] == 0 and calls["elsewhere"] >= 1
+    monkeypatch.setattr(search_module._PathTarget, "try_accept", try_accept)
+    monkeypatch.setattr(search_module, "iter_links", spying(iter_links))
+    monkeypatch.setattr(search_module, "path_graph", spying(path_graph))
+    assert len(minimal_path_roots(families.cycle(4), 3)) == 4
+    assert len(minimal_path_roots(families.empty_graph(2), 2)) == 2
+    assert calls["iter_links", True] and calls["path_graph", True]
+    assert not calls["iter_links", False] and not calls["path_graph", False]
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
@@ -1046,6 +1079,13 @@ def assert_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class, o
     search = minimal_link_roots if target_class.mode == "link" else minimal_path_roots
     roots = search(h, ell, options)
 
+    def sizes(target, g):
+        if target.mode == "link":
+            arcs = count_arcs_by_length(g, target.ell + 1)
+            return arcs[target.ell] // 2, arcs[target.ell + 1] // 2
+        built = path_graph(g, target.ell).graph
+        return built.n, built.m
+
     def in_bounds(target, g):
         if not g.is_connected():
             return False
@@ -1055,7 +1095,7 @@ def assert_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class, o
             return False
         if target.forbid_cycles and not g.is_acyclic():
             return False
-        return target.measure(g) is not None
+        return all(s <= r for s, r in zip(sizes(target, g), target.required))
 
     for target, seen in visited.items():
         assert len(seen) == len(set(seen))
@@ -1065,7 +1105,9 @@ def assert_visits_each_class_in_bounds_once(monkeypatch, h, ell, target_class, o
         bounds = target.bounds
         expected = {
             canonical_form(g).data
-            for g in exhaustive_multigraphs(bounds.max_n, bounds.max_m)
+            # the search starts from K1, not from the empty graph
+            for g in (g if g.n else Multigraph(1)
+                      for g in exhaustive_multigraphs(bounds.max_n, bounds.max_m))
             if in_bounds(target, g)
         }
         assert set(seen) == expected
